@@ -1,5 +1,8 @@
+import atexit
 import os
+import shutil
 import sys
+import tempfile
 
 
 def _driver_mem() -> str:
@@ -37,6 +40,13 @@ def _driver_mem() -> str:
     return "48g"
 
 
+# Traces built by tests and benchmarks go to a per-session temp directory,
+# never into the repo tree. ``repro.engine.trace`` reads REPRO_TRACE_CACHE
+# when it is imported, which happens after this file is loaded.
+if "REPRO_TRACE_CACHE" not in os.environ:
+    os.environ["REPRO_TRACE_CACHE"] = tempfile.mkdtemp(prefix="repro-trace-cache-")
+    atexit.register(shutil.rmtree, os.environ["REPRO_TRACE_CACHE"], ignore_errors=True)
+
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
@@ -58,9 +68,8 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Broadcast joins are disabled so that the BSP engine's joins run as
+    shuffle joins even on the small test graphs.
     """
     s = (
         SparkSession.builder.appName("repro")

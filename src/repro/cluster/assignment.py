@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,3 @@ class Assignment:
                 "worker": self.workers.astype(np.int32),
             }
         )
-
-    def to_spark(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.to_pandas())

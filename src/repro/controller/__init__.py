@@ -1,5 +1,5 @@
 """Centralized controller: stats aggregation, adaptivity, experiment harness."""
-from repro.controller.stats import TraceStats, intersection_function
+from repro.controller.stats import TraceStats, qcut_input
 from repro.controller.adaptivity import AdaptivityParams, AdaptiveController
 from repro.controller.simulator import (
     ExperimentConfig,
@@ -10,7 +10,7 @@ from repro.controller.simulator import (
 
 __all__ = [
     "TraceStats",
-    "intersection_function",
+    "qcut_input",
     "AdaptivityParams",
     "AdaptiveController",
     "ExperimentConfig",

@@ -3,11 +3,15 @@
 Runs a workload's batches in arrival order against the simulated cluster:
 
   trace (Spark BSP, partition-independent)
-    → per-assignment worker reports (Spark joins, :class:`TraceStats`)
+    → per-assignment worker reports (numpy aggregations of trace ⋈
+      assignment, :class:`TraceStats`)
       → per-batch latency/locality/imbalance (:func:`simulate_batch`)
         → MAPE adaptivity (:class:`AdaptiveController`)
           → Q-cut ILS (:func:`run_qcut`) → move(LS(q,w), w, w') → new
             assignment, re-priced reports.
+
+Only the trace comes from Spark; pricing, adaptivity and Q-cut run in
+numpy on the driver.
 
 Static configurations simply never repartition. The Q-cut ILS runs
 asynchronously in the real system (its latency is hidden, Appendix A.3);
@@ -26,8 +30,8 @@ from repro.cluster.assignment import Assignment
 from repro.cluster.costmodel import M2, CostModel
 from repro.cluster.partitioners import domain_partition, hash_partition, ldg_partition
 from repro.controller.adaptivity import AdaptiveController, AdaptivityParams
-from repro.controller.stats import TraceStats
-from repro.core.qcut import QcutInput, QcutResult, run_qcut
+from repro.controller.stats import TraceStats, qcut_input
+from repro.core.qcut import QcutResult, run_qcut
 from repro.engine.trace import Trace
 from repro.queries.workload import Query, queries_by_batch
 from repro.roadnet.generator import RoadNetwork
@@ -171,9 +175,11 @@ def run_experiment(
     trace: Trace,
     cfg: ExperimentConfig,
 ) -> ExperimentResult:
-    """Price the traced workload under ``cfg``; adapt if configured."""
+    """Price the traced workload under ``cfg``; adapt if configured.
+
+    ``spark`` is unused: pricing runs no Spark job."""
     assignment = initial_assignment(net, cfg.k, cfg.initial)
-    stats = TraceStats(spark, trace)
+    stats = TraceStats(trace)
     controller = AdaptiveController(params=cfg.adaptivity)
     try:
         ac = stats.active_counts(assignment)
@@ -182,7 +188,6 @@ def run_experiment(
         batch_rows = []
         query_rows = []
         qcut_runs: list[QcutResult] = []
-        rng_seq = 0
         for batch, qs in queries_by_batch(queries).items():
             qids = [q.qid for q in qs]
             ac_b = ac[ac["qid"].isin(qids)]
@@ -203,34 +208,10 @@ def run_experiment(
                 iter_lt = {int(q): switch_tick for q in qids}
                 window = controller.window_qids(batch - 1) + [int(q) for q in qids]
                 window = window[: cfg.adaptivity.max_window_queries]
-                # One Spark pass extracts the window's distinct scope
-                # membership (the vertex-scale operation); |LS| sizes and
-                # pairwise intersections are controller-local arithmetic on
-                # that small result — the paper's high-level representation.
-                sv = stats.scope_vertices(window, iter_lt)
-                sv = sv.assign(worker=assignment.worker_of(sv["vid"].to_numpy()))
-                ls_pdf = (
-                    sv.groupby(["qid", "worker"]).size().rename("size").reset_index()
-                )
-                pairs = sv[["qid", "vid"]].merge(sv[["qid", "vid"]], on="vid")
-                pairs = pairs[pairs["qid_x"] < pairs["qid_y"]]
-                ov_pdf = (
-                    pairs.groupby(["qid_x", "qid_y"]).size().rename("shared")
-                    .reset_index().rename(columns={"qid_x": "qa", "qid_y": "qb"})
-                )
-                w_qids = sorted(set(int(q) for q in ls_pdf["qid"]))
-                if w_qids:
-                    ls = np.zeros((len(w_qids), cfg.k))
-                    pos = {q: i for i, q in enumerate(w_qids)}
-                    for q, w, sz in ls_pdf[["qid", "worker", "size"]].itertuples(index=False):
-                        ls[pos[int(q)], int(w)] = sz
-                    overlaps = {
-                        (int(a), int(b)): float(s)
-                        for a, b, s in ov_pdf[["qa", "qb", "shared"]].itertuples(index=False)
-                    }
+                inp = qcut_input(stats.scope_vertices(window, iter_lt), assignment)
+                if inp.qids:
                     qres = run_qcut(
-                        QcutInput(qids=w_qids, ls=ls,
-                                  vcounts=assignment.vertex_counts(), overlaps=overlaps),
+                        inp,
                         delta=cfg.adaptivity.delta,
                         target_clusters=cfg.target_clusters,
                         time_budget=cfg.ils_time_budget,
@@ -240,11 +221,10 @@ def run_experiment(
                         # instead of reshuffling chunk borders every time
                         seed=cfg.seed,
                     )
-                    rng_seq += 1
                     qcut_runs.append(qres)
                     a = trace.activations
                     win_act = a[
-                        a["qid"].isin(set(w_qids))
+                        a["qid"].isin(set(inp.qids))
                         & (~a["qid"].isin(set(qids)) | (a["iter"] < switch_tick))
                     ]
                     assignment, moved = _apply_qcut_moves(

@@ -2,88 +2,73 @@
 
 Workers report ``stats(q, |LS(q,w)|, I_w, w)`` after each iteration; the
 controller aggregates local scopes into global scopes and intersection
-functions. In this reproduction the worker reports are derived from the
-execution trace joined with the current vertex assignment — as Spark
-DataFrame aggregations over Catalyst (these are the vertex-scale joins of
-the reproduction; the downstream ILS consumes only their small outputs).
+functions. In this reproduction the worker reports are numpy aggregations
+of the execution trace joined with the current vertex assignment: a gather
+``assignment.workers[vid]`` followed by a group-by count. They are the
+controller's small high-level view, so no Spark job runs here; Spark is
+used only by the BSP engine that records the trace.
 
-Every aggregation here has a DuckDB-oracle test in
-``tests/test_stats_oracle.py``.
+Reports are sorted by their key columns, so pricing does not depend on the
+order in which the trace was recorded.
+
+Every report has a DuckDB-oracle test in ``tests/test_stats_oracle.py``.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.cluster.assignment import Assignment
+from repro.core.qcut import QcutInput
 from repro.engine.trace import Trace
 
 
-class TraceStats:
-    """Spark-side statistics over one trace; reusable across assignments.
+def _group_count(columns: dict[str, np.ndarray], count: str | None) -> pd.DataFrame:
+    """``SELECT cols[, count(*) AS count] GROUP BY cols ORDER BY cols``.
 
-    The trace DataFrames are cached once; each method joins them with a
-    vertex→worker assignment and returns a *small* pandas aggregate for the
-    controller (the paper's high-level representation).
+    With ``count=None`` this is ``SELECT DISTINCT``. The columns hold
+    non-negative ids; each row is packed into one int64 in mixed radix, so
+    the group-by is a single integer sort."""
+    cols = {c: np.asarray(v, dtype=np.int64) for c, v in columns.items()}
+    radix = {c: int(v.max(initial=0)) + 1 for c, v in cols.items()}
+    if np.prod(list(radix.values()), dtype=float) >= 2.0**63:
+        raise OverflowError("group-by key does not fit in int64")
+    packed = np.zeros(len(next(iter(cols.values()))), dtype=np.int64)
+    for c, v in cols.items():
+        packed = packed * radix[c] + v
+    packed, n = np.unique(packed, return_counts=True)
+    out = {}
+    for c in reversed(cols):
+        packed, out[c] = np.divmod(packed, radix[c])
+    df = pd.DataFrame({c: out[c] for c in cols})
+    if count is not None:
+        df[count] = n
+    return df
+
+
+class TraceStats:
+    """Worker reports over one trace; reusable across assignments.
+
+    Holds the trace as numpy columns; each method gathers the worker of
+    every row's vertex under an assignment and returns a small pandas
+    aggregate for the controller (the paper's high-level representation).
     """
 
-    def __init__(self, spark: SparkSession, trace: Trace):
-        self.spark = spark
-        # These aggregations shuffle kilobytes; the session default (64
-        # partitions at SF~=0.1) would spend more time scheduling than
-        # working. Restored in close().
-        self._saved_shuffle = spark.conf.get("spark.sql.shuffle.partitions")
-        spark.conf.set("spark.sql.shuffle.partitions", "8")
-        self.activations = spark.createDataFrame(trace.activations).cache()
-        self.messages = (
-            spark.createDataFrame(trace.messages)
-            if len(trace.messages)
-            else None
-        )
-        if self.messages is not None:
-            self.messages = self.messages.cache()
-        # distinct (qid, vid): the vertex sets of the global query scopes
-        self.scopes = self.activations.select("qid", "vid").distinct().cache()
+    def __init__(self, trace: Trace):
+        a, m = trace.activations, trace.messages
+        self._act = {c: a[c].to_numpy() for c in ("qid", "iter", "vid")}
+        self._msg = {c: m[c].to_numpy() for c in ("qid", "iter", "src", "dst")}
 
     def close(self) -> None:
-        self.activations.unpersist()
-        if self.messages is not None:
-            self.messages.unpersist()
-        self.scopes.unpersist()
-        self.spark.conf.set("spark.sql.shuffle.partitions", self._saved_shuffle)
+        """Drop the trace columns; the object is unusable afterwards."""
+        self._act = self._msg = None
 
-    # -- helpers -------------------------------------------------------------
-    def _assign_df(self, assignment: Assignment) -> DataFrame:
-        return assignment.to_spark(self.spark)
-
-    def _scopes(self, qids=None, iter_lt: dict | None = None) -> DataFrame:
-        """Distinct (qid, vid) scope membership, optionally restricted.
-
-        ``iter_lt`` maps qid -> iteration bound: for those queries only
-        activations with ``iter < bound`` count — a query still running at
-        repartition time has reported stats only for its finished
-        iterations (paper §3.4 piggybacked stats)."""
-        if not iter_lt:
-            s = self.scopes
-            if qids is not None:
-                s = s.filter(F.col("qid").isin([int(q) for q in qids]))
-            return s
-        a = self.activations
-        if qids is not None:
-            a = a.filter(F.col("qid").isin([int(q) for q in qids]))
-        bound = self.spark.createDataFrame(
-            pd.DataFrame(
-                {"qid": [int(q) for q in iter_lt], "bound": [int(b) for b in iter_lt.values()]}
-            )
-        )
-        return (
-            a.join(bound, "qid", "left")
-            .filter(F.col("bound").isNull() | (F.col("iter") < F.col("bound")))
-            .select("qid", "vid")
-            .distinct()
-        )
+    @staticmethod
+    def _since(cols: dict[str, np.ndarray], min_qid: int | None) -> dict[str, np.ndarray]:
+        if min_qid is None:
+            return cols
+        keep = cols["qid"] >= int(min_qid)
+        return {c: v[keep] for c, v in cols.items()}
 
     # -- worker reports -------------------------------------------------------
     def active_counts(self, assignment: Assignment, min_qid: int | None = None) -> pd.DataFrame:
@@ -91,95 +76,69 @@ class TraceStats:
 
         ``min_qid`` restricts to queries not yet priced — after a mid-run
         repartition only future batches need re-pricing."""
-        a = self._assign_df(assignment)
-        acts = self.activations
-        if min_qid is not None:
-            acts = acts.filter(F.col("qid") >= int(min_qid))
-        return (
-            acts.join(a, "vid")
-            .groupBy("qid", "iter", "worker")
-            .agg(F.count("*").alias("n_active"))
-            .toPandas()
+        a = self._since(self._act, min_qid)
+        return _group_count(
+            {"qid": a["qid"], "iter": a["iter"], "worker": assignment.worker_of(a["vid"])},
+            "n_active",
         )
 
     def message_counts(self, assignment: Assignment, min_qid: int | None = None) -> pd.DataFrame:
         """(qid, iter, w_src, w_dst, n_msgs): message worker-pair counts."""
-        if self.messages is None:
-            return pd.DataFrame(columns=["qid", "iter", "w_src", "w_dst", "n_msgs"])
-        msgs = self.messages
-        if min_qid is not None:
-            msgs = msgs.filter(F.col("qid") >= int(min_qid))
-        a_src = self._assign_df(assignment).withColumnRenamed("worker", "w_src")
-        a_dst = self._assign_df(assignment).withColumnRenamed("worker", "w_dst")
-        return (
-            msgs.join(a_src, msgs["src"] == a_src["vid"])
-            .drop(a_src["vid"])
-            .join(a_dst, F.col("dst") == a_dst["vid"])
-            .drop(a_dst["vid"])
-            .groupBy("qid", "iter", "w_src", "w_dst")
-            .agg(F.count("*").alias("n_msgs"))
-            .toPandas()
-        )
-
-    def local_scope_sizes(
-        self, assignment: Assignment, qids=None, iter_lt: dict | None = None
-    ) -> pd.DataFrame:
-        """|LS(q,w)| (qid, worker, size) — distinct scope vertices per worker."""
-        return (
-            self._scopes(qids, iter_lt).join(self._assign_df(assignment), "vid")
-            .groupBy("qid", "worker")
-            .agg(F.count("*").alias("size"))
-            .toPandas()
-        )
-
-    def intersections_per_worker(self, assignment: Assignment, qids=None) -> pd.DataFrame:
-        """Pairwise I_w: (worker, qa, qb, shared) — shared scope vertices of
-        query pairs co-located on a worker. (The controller's clustering
-        consumes pairwise intersections; :func:`intersection_function`
-        evaluates I_w on arbitrary query subsets.)"""
-        s = self.scopes
-        if qids is not None:
-            s = s.filter(F.col("qid").isin([int(q) for q in qids]))
-        sw = s.join(self._assign_df(assignment), "vid")
-        a = sw.select(F.col("qid").alias("qa"), "vid", "worker")
-        b = sw.select(F.col("qid").alias("qb"), F.col("vid").alias("vid_b"),
-                      F.col("worker").alias("worker_b"))
-        return (
-            a.join(b, (a["vid"] == b["vid_b"]) & (a["worker"] == b["worker_b"]))
-            .filter(F.col("qa") < F.col("qb"))
-            .groupBy("worker", "qa", "qb")
-            .agg(F.count("*").alias("shared"))
-            .toPandas()
-        )
-
-    def global_pair_overlaps(self, qids=None, iter_lt: dict | None = None) -> pd.DataFrame:
-        """Global scope intersections (qa, qb, shared) — clustering input."""
-        s = self._scopes(qids, iter_lt)
-        a = s.select(F.col("qid").alias("qa"), "vid")
-        b = s.select(F.col("qid").alias("qb"), F.col("vid").alias("vid_b"))
-        return (
-            a.join(b, a["vid"] == b["vid_b"])
-            .filter(F.col("qa") < F.col("qb"))
-            .groupBy("qa", "qb")
-            .agg(F.count("*").alias("shared"))
-            .toPandas()
+        m = self._since(self._msg, min_qid)
+        return _group_count(
+            {"qid": m["qid"], "iter": m["iter"],
+             "w_src": assignment.worker_of(m["src"]),
+             "w_dst": assignment.worker_of(m["dst"])},
+            "n_msgs",
         )
 
     def scope_vertices(self, qids=None, iter_lt: dict | None = None) -> pd.DataFrame:
-        """(qid, vid) distinct global-scope membership (for move requests)."""
-        return self._scopes(qids, iter_lt).toPandas()
+        """(qid, vid) distinct global-scope membership, optionally restricted.
+
+        ``iter_lt`` maps qid -> iteration bound: for those queries only
+        activations with ``iter < bound`` count — a query still running at
+        repartition time has reported stats only for its finished
+        iterations (paper §3.4 piggybacked stats)."""
+        q, it, v = self._act["qid"], self._act["iter"], self._act["vid"]
+        keep = np.ones(len(q), dtype=bool)
+        if qids is not None:
+            keep &= np.isin(q, np.asarray(list(qids), dtype=np.int64))
+        if iter_lt:
+            bound = np.full(max(int(q.max(initial=0)), max(iter_lt)) + 1,
+                            np.iinfo(np.int64).max)
+            bound[list(iter_lt)] = list(iter_lt.values())
+            keep &= it < bound[q]
+        return _group_count({"qid": q[keep], "vid": v[keep]}, None)
 
 
-def intersection_function(scope_vertices: pd.DataFrame, assignment: Assignment,
-                          worker: int, query_subset) -> int:
-    """The paper's I_w: number of vertices shared by *all* queries of the
-    subset on ``worker`` (e.g. I_w({q1,q2,q3}) = 3 in §3.4)."""
-    sv = scope_vertices[
-        np.isin(assignment.worker_of(scope_vertices["vid"]), [worker])
-    ]
-    sets = [
-        set(sv.loc[sv["qid"] == int(q), "vid"].tolist()) for q in query_subset
-    ]
-    if not sets:
-        return 0
-    return len(set.intersection(*sets))
+def qcut_input(scope_vertices: pd.DataFrame, assignment: Assignment) -> QcutInput:
+    """The Q-cut input for the queries of ``scope_vertices``.
+
+    ``ls[i, w]`` = |LS(q_i, w)|, the scope vertices of query ``q_i`` on
+    worker ``w``; ``overlaps[(qa, qb)]`` (qa < qb) = |GS(qa) ∩ GS(qb)| for
+    every pair that shares a vertex. ``scope_vertices`` holds distinct
+    (qid, vid) rows, as :meth:`TraceStats.scope_vertices` returns them.
+
+    Overlaps are counted as pairs of rows that share a vertex, in integer
+    numpy on the calling thread: no BLAS product, whose worker threads keep
+    spinning after the call returns."""
+    qids, qi = np.unique(scope_vertices["qid"].to_numpy(), return_inverse=True)
+    vids, vi = np.unique(scope_vertices["vid"].to_numpy(), return_inverse=True)
+    n = len(qids)
+    ls = np.zeros((n, assignment.k))
+    np.add.at(ls, (qi, assignment.worker_of(vids)[vi]), 1.0)
+    order = np.lexsort((qi, vi))  # by vertex, then query
+    qo, vo = qi[order], vi[order]
+    shared = np.zeros(n * n, dtype=np.int64)
+    # rows d apart in the same vertex run are one (qa < qb) pair; runs are
+    # contiguous, so the first d with no such rows ends the count
+    for d in range(1, len(vo)):
+        same = vo[d:] == vo[:-d]
+        if not same.any():
+            break
+        shared += np.bincount(qo[:-d][same] * n + qo[d:][same], minlength=n * n)
+    pairs = np.flatnonzero(shared)
+    overlaps = {(int(qids[a]), int(qids[b])): float(c)
+                for a, b, c in zip(pairs // n, pairs % n, shared[pairs])}
+    return QcutInput(qids=[int(q) for q in qids], ls=ls,
+                     vcounts=assignment.vertex_counts(), overlaps=overlaps)

@@ -7,13 +7,16 @@ execution is identical under every vertex placement — only timing differs —
 so one trace can be re-priced under every partitioning strategy and barrier
 model (DESIGN.md §3, "key simulation identity").
 
-Traces are deterministic in (graph seed, workload seed), so they are cached
-as parquet under ``.trace_cache/`` and reused by tests, jobs and benchmarks.
+Traces are deterministic in (graph seed, workload seed, iteration cap), so
+they are cached as parquet under ``.trace_cache/`` (or ``$REPRO_TRACE_CACHE``)
+and reused by jobs and benchmarks.
 """
 from __future__ import annotations
 
 import hashlib
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import pandas as pd
@@ -21,6 +24,9 @@ import pandas as pd
 CACHE_DIR = os.environ.get(
     "REPRO_TRACE_CACHE", os.path.join(os.path.dirname(__file__), "..", "..", "..", ".trace_cache")
 )
+# Part of every cache key: bump it when the engine's semantics or the
+# parquet layout change, so that no stale trace is re-priced.
+TRACE_VERSION = 1
 
 
 @dataclass
@@ -84,12 +90,20 @@ def cached_trace(key: str, builder) -> Trace:
     """Load trace ``key`` from the parquet cache, or build and store it.
 
     ``builder`` is a zero-arg callable returning a :class:`Trace`. The key is
-    hashed so callers can use long descriptive strings.
+    hashed so callers can use long descriptive strings. A new entry is
+    written to a temporary sibling directory and renamed into place, so a
+    crash mid-write never leaves an entry that looks complete.
     """
-    h = hashlib.sha256(key.encode()).hexdigest()[:16]
+    h = hashlib.sha256(f"v{TRACE_VERSION}|{key}".encode()).hexdigest()[:16]
     path = os.path.join(CACHE_DIR, h)
     if os.path.exists(os.path.join(path, "final.parquet")):
         return Trace.load(path)
     t = builder()
-    t.save(path)
+    os.makedirs(CACHE_DIR, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=f".{h}-", dir=CACHE_DIR)
+    try:
+        t.save(tmp)
+        os.replace(tmp, path)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     return t

@@ -14,17 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.cluster.costmodel import C1, M1, M2
 from repro.controller.adaptivity import AdaptivityParams
 from repro.controller.simulator import ExperimentConfig, ExperimentResult, run_experiment
-from repro.core.qcut import QcutInput, run_qcut
+from repro.core.qcut import run_qcut
 from repro.engine import cached_trace, run_queries
 from repro.engine.trace import Trace, workload_key
-from repro.controller.stats import TraceStats
+from repro.controller.stats import TraceStats, qcut_input
 from repro.queries.workload import Query, hotspot_queries
 from repro.roadnet.datasets import bw_lite, edges_df, gy_lite
 from repro.roadnet.generator import RoadNetwork
@@ -78,7 +77,7 @@ def trace_for(spark: SparkSession, net: RoadNetwork, queries: list[Query],
               *, max_iters: int = 150) -> Trace:
     """Disk-cached BSP trace of a workload (one Spark execution per key)."""
     return cached_trace(
-        workload_key(net, queries),
+        f"{workload_key(net, queries)}|max_iters={max_iters}",
         lambda: run_queries(spark, edges_df(spark, net), queries, net, max_iters=max_iters),
     )
 
@@ -339,22 +338,8 @@ def table_t09(spark: SparkSession) -> TableResult:
     queries = [q for q in phase1 if q.batch < 8]  # first 128 queries
     trace = trace_all.restrict([q.qid for q in queries])
     assignment = hash_partition(net.n_vertices, 8)
-    stats = TraceStats(spark, trace)
-    try:
-        qids = sorted(int(q) for q in trace.activations["qid"].unique())
-        ls_pdf = stats.local_scope_sizes(assignment, qids)
-        ov_pdf = stats.global_pair_overlaps(qids)
-    finally:
-        stats.close()
-    ls = np.zeros((len(qids), 8))
-    pos = {q: i for i, q in enumerate(qids)}
-    for q, w, sz in ls_pdf[["qid", "worker", "size"]].itertuples(index=False):
-        ls[pos[int(q)], int(w)] = sz
-    overlaps = {(int(a), int(b)): float(s)
-                for a, b, s in ov_pdf[["qa", "qb", "shared"]].itertuples(index=False)}
     qres = run_qcut(
-        QcutInput(qids=qids, ls=ls, vcounts=assignment.vertex_counts(),
-                  overlaps=overlaps),
+        qcut_input(TraceStats(trace).scope_vertices(), assignment),
         time_budget=2.0,  # the paper's controller budget
         max_rounds=500,
         seed=0,

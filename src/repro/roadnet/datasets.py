@@ -51,11 +51,6 @@ def tiny_grid(seed: int = 3) -> RoadNetwork:
     )
 
 
-def to_spark(spark: SparkSession, net: RoadNetwork) -> tuple[DataFrame, DataFrame]:
-    """(vertices, edges) as Spark DataFrames."""
-    return spark.createDataFrame(net.vertices), spark.createDataFrame(net.edges)
-
-
 def edges_df(spark: SparkSession, net: RoadNetwork) -> DataFrame:
     """Edge DataFrame only (the BSP engine's hot input), cached."""
     return spark.createDataFrame(net.edges)

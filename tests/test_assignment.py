@@ -1,6 +1,5 @@
 """Vertex→worker assignment (paper's A function, Table 2 move requests)."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.cluster.assignment import Assignment
@@ -61,9 +60,3 @@ class TestConversion:
         pdf = a.to_pandas()
         assert list(pdf.columns) == ["vid", "worker"]
         np.testing.assert_array_equal(pdf["worker"].to_numpy(), a.workers)
-
-    def test_to_spark(self, spark):
-        a = _mk(6, 3)
-        sdf = a.to_spark(spark)
-        got = sdf.toPandas().sort_values("vid").reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, a.to_pandas(), check_dtype=False)

@@ -1,6 +1,11 @@
 """Experiment-harness building blocks (full tables run in benchmarks/)."""
+import os
+
+import pandas as pd
 import pytest
 
+import repro.engine.trace as trace_mod
+from repro.engine.trace import Trace, cached_trace
 from repro.experiments import (
     ALL_TABLES,
     BATCH,
@@ -50,3 +55,44 @@ class TestTraceCache:
         assert a.final.sort_values(["qid", "vid"]).reset_index(drop=True).equals(
             b.final.sort_values(["qid", "vid"]).reset_index(drop=True)
         )
+
+    def test_max_iters_in_key(self, spark, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace_mod, "CACHE_DIR", str(tmp_path))
+        net = tiny_grid()
+        qs = sssp_workload(net, seed=3, n=4)
+        short = trace_for(spark, net, qs, max_iters=1)
+        longer = trace_for(spark, net, qs, max_iters=2)
+        assert short.iters_per_query().max() == 1
+        assert longer.iters_per_query().max() == 2
+        assert len(os.listdir(tmp_path)) == 2
+
+    def test_failed_write_leaves_no_entry(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace_mod, "CACHE_DIR", str(tmp_path))
+        t = Trace(
+            activations=pd.DataFrame({"qid": [0], "iter": [0], "vid": [1]}),
+            messages=pd.DataFrame({"qid": [0], "iter": [0], "src": [1], "dst": [2]}),
+            final=pd.DataFrame({"qid": [0], "vid": [1], "dist": [0.0]}),
+        )
+        builds = []
+
+        def builder():
+            builds.append(1)
+            return t
+
+        real_to_parquet = pd.DataFrame.to_parquet
+
+        def fail_on_last_file(self, path, *args, **kwargs):
+            if path.endswith("final.parquet"):
+                raise OSError("disk full")
+            return real_to_parquet(self, path, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(pd.DataFrame, "to_parquet", fail_on_last_file)
+            with pytest.raises(OSError):
+                cached_trace("k", builder)
+        assert os.listdir(tmp_path) == []
+        got = cached_trace("k", builder)
+        assert len(builds) == 2
+        assert got.activations.equals(t.activations)
+        assert cached_trace("k", builder).final.equals(t.final)
+        assert len(builds) == 2

@@ -1,15 +1,16 @@
 """Controller statistics vs the DuckDB oracle.
 
-Every Spark aggregation in :mod:`repro.controller.stats` is checked against
-the equivalent SQL over the same inputs via ``repro.oracle.assert_equivalent``
-— a broken join or groupBy shows up as a row diff, not a green "it ran".
+Every report of :mod:`repro.controller.stats` and the Q-cut input built from
+them are checked against the equivalent SQL over the same inputs via
+``repro.oracle.assert_equivalent`` — a broken gather or group-by shows up as
+a row diff, not a green "it ran".
 """
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.cluster.partitioners import domain_partition, hash_partition
-from repro.controller.stats import TraceStats, intersection_function
+from repro.controller.stats import TraceStats, qcut_input
 from repro.engine import run_queries
 from repro.oracle import assert_equivalent
 from repro.queries.workload import hotspot_queries
@@ -30,8 +31,8 @@ def trace(spark, net):
 
 
 @pytest.fixture(scope="module")
-def stats(spark, trace):
-    s = TraceStats(spark, trace)
+def stats(trace):
+    s = TraceStats(trace)
     yield s
     s.close()
 
@@ -43,40 +44,79 @@ def assignment(request, net):
     return domain_partition(net, 3)
 
 
+@pytest.fixture(scope="module")
+def qids(trace):
+    return sorted(int(q) for q in trace.activations["qid"].unique())
+
+
+def _restriction_sql(qids, iter_lt) -> str:
+    """SQL predicate on ``a`` for ``scope_vertices(qids, iter_lt)``."""
+    conds = ["TRUE"]
+    if qids is not None:
+        conds.append(f"a.qid IN ({','.join(str(q) for q in qids)})")
+    for q, bound in (iter_lt or {}).items():
+        conds.append(f"(a.qid <> {q} OR a.iter < {bound})")
+    return " AND ".join(conds)
+
+
+def _ls_rows(inp) -> pd.DataFrame:
+    q, w = np.nonzero(inp.ls)
+    return pd.DataFrame({"qid": np.asarray(inp.qids)[q], "worker": w, "size": inp.ls[q, w]})
+
+
 class TestOracle:
-    def test_active_counts(self, spark, stats, trace, assignment):
-        got = spark.createDataFrame(stats.active_counts(assignment))
-        assert_equivalent(
-            got,
-            """
-            SELECT a.qid, a.iter, s.worker, count(*) AS n_active
-            FROM activations a JOIN assign s USING (vid)
-            GROUP BY a.qid, a.iter, s.worker
-            """,
-            activations=trace.activations,
-            assign=assignment.to_pandas(),
-        )
+    def test_active_counts(self, stats, trace, assignment, qids):
+        for min_qid in (None, qids[len(qids) // 2]):
+            assert_equivalent(
+                stats.active_counts(assignment, min_qid),
+                f"""
+                SELECT a.qid, a.iter, s.worker, count(*) AS n_active
+                FROM activations a JOIN assign s USING (vid)
+                WHERE a.qid >= {min_qid or 0}
+                GROUP BY a.qid, a.iter, s.worker
+                """,
+                activations=trace.activations,
+                assign=assignment.to_pandas(),
+            )
 
-    def test_message_counts(self, spark, stats, trace, assignment):
-        got = spark.createDataFrame(stats.message_counts(assignment))
-        assert_equivalent(
-            got,
-            """
-            SELECT m.qid, m.iter, s1.worker AS w_src, s2.worker AS w_dst,
-                   count(*) AS n_msgs
-            FROM messages m
-            JOIN assign s1 ON m.src = s1.vid
-            JOIN assign s2 ON m.dst = s2.vid
-            GROUP BY m.qid, m.iter, s1.worker, s2.worker
-            """,
-            messages=trace.messages,
-            assign=assignment.to_pandas(),
-        )
+    def test_message_counts(self, stats, trace, assignment, qids):
+        for min_qid in (None, qids[len(qids) // 2]):
+            assert_equivalent(
+                stats.message_counts(assignment, min_qid),
+                f"""
+                SELECT m.qid, m.iter, s1.worker AS w_src, s2.worker AS w_dst,
+                       count(*) AS n_msgs
+                FROM messages m
+                JOIN assign s1 ON m.src = s1.vid
+                JOIN assign s2 ON m.dst = s2.vid
+                WHERE m.qid >= {min_qid or 0}
+                GROUP BY m.qid, m.iter, s1.worker, s2.worker
+                """,
+                messages=trace.messages,
+                assign=assignment.to_pandas(),
+            )
 
-    def test_local_scope_sizes(self, spark, stats, trace, assignment):
-        got = spark.createDataFrame(stats.local_scope_sizes(assignment))
+    def test_reports_sorted_by_key(self, stats, assignment):
+        for df in (stats.active_counts(assignment), stats.message_counts(assignment),
+                   stats.scope_vertices()):
+            keys = [c for c in df.columns if not c.startswith("n_")]
+            assert df.equals(df.sort_values(keys, ignore_index=True))
+
+    def test_scope_vertices(self, stats, trace, qids):
+        for sel, iter_lt in ((None, None), (qids[:3], {qids[0]: 2}), (None, {qids[1]: 3})):
+            assert_equivalent(
+                stats.scope_vertices(sel, iter_lt),
+                f"SELECT DISTINCT qid, vid FROM activations a "
+                f"WHERE {_restriction_sql(sel, iter_lt)}",
+                activations=trace.activations,
+            )
+
+    def test_local_scope_sizes(self, stats, trace, assignment, qids):
+        inp = qcut_input(stats.scope_vertices(), assignment)
+        assert inp.qids == qids
+        np.testing.assert_array_equal(inp.vcounts, assignment.vertex_counts())
         assert_equivalent(
-            got,
+            _ls_rows(inp),
             """
             SELECT qid, worker, count(*) AS size FROM (
                 SELECT DISTINCT a.qid, a.vid, s.worker
@@ -87,48 +127,27 @@ class TestOracle:
             assign=assignment.to_pandas(),
         )
 
-    def test_local_scope_sizes_partial(self, spark, stats, trace, assignment):
-        qids = sorted(trace.activations["qid"].unique())[:3]
-        iter_lt = {int(qids[0]): 2}
-        got = spark.createDataFrame(
-            stats.local_scope_sizes(assignment, qids, iter_lt)
-        )
+    def test_local_scope_sizes_partial(self, stats, trace, assignment, qids):
+        sel, iter_lt = qids[:3], {qids[0]: 2}
+        inp = qcut_input(stats.scope_vertices(sel, iter_lt), assignment)
         assert_equivalent(
-            got,
+            _ls_rows(inp),
             f"""
             SELECT qid, worker, count(*) AS size FROM (
                 SELECT DISTINCT a.qid, a.vid, s.worker
                 FROM activations a JOIN assign s USING (vid)
-                WHERE a.qid IN ({",".join(str(int(q)) for q in qids)})
-                  AND (a.qid <> {int(qids[0])} OR a.iter < 2)
+                WHERE {_restriction_sql(sel, iter_lt)}
             ) GROUP BY qid, worker
             """,
             activations=trace.activations,
             assign=assignment.to_pandas(),
         )
 
-    def test_intersections_per_worker(self, spark, stats, trace, assignment):
-        got = spark.createDataFrame(stats.intersections_per_worker(assignment))
+    def test_global_pair_overlaps(self, stats, trace, net):
+        inp = qcut_input(stats.scope_vertices(), hash_partition(net.n_vertices, 3))
         assert_equivalent(
-            got,
-            """
-            WITH scoped AS (
-                SELECT DISTINCT a.qid, a.vid, s.worker
-                FROM activations a JOIN assign s USING (vid)
-            )
-            SELECT x.worker, x.qid AS qa, y.qid AS qb, count(*) AS shared
-            FROM scoped x JOIN scoped y
-              ON x.vid = y.vid AND x.worker = y.worker AND x.qid < y.qid
-            GROUP BY x.worker, x.qid, y.qid
-            """,
-            activations=trace.activations,
-            assign=assignment.to_pandas(),
-        )
-
-    def test_global_pair_overlaps(self, spark, stats, trace):
-        got = spark.createDataFrame(stats.global_pair_overlaps())
-        assert_equivalent(
-            got,
+            pd.DataFrame([(a, b, s) for (a, b), s in inp.overlaps.items()],
+                         columns=["qa", "qb", "shared"]),
             """
             WITH scoped AS (SELECT DISTINCT qid, vid FROM activations)
             SELECT x.qid AS qa, y.qid AS qb, count(*) AS shared
@@ -138,29 +157,21 @@ class TestOracle:
             activations=trace.activations,
         )
 
-    def test_scope_vertices(self, spark, stats, trace):
-        got = spark.createDataFrame(stats.scope_vertices())
-        assert_equivalent(
-            got,
-            "SELECT DISTINCT qid, vid FROM activations",
-            activations=trace.activations,
-        )
-
-
-class TestIntersectionFunction:
-    def test_paper_example_semantics(self, net, stats, trace, assignment):
-        """I_w({q1,q2,q3}) = number of vertices shared by all three (§3.4)."""
-        sv = stats.scope_vertices()
-        qids = sorted(sv["qid"].unique())[:2]
-        for w in range(assignment.k):
-            expected = len(
-                set.intersection(*[
-                    set(sv[(sv["qid"] == q)
-                           & (assignment.worker_of(sv["vid"]) == w)]["vid"])
-                    for q in qids
-                ])
+    @pytest.mark.parametrize("kind", ["pandas", "spark"])
+    def test_oracle_catches_wrong_result(self, spark, stats, trace, net, kind):
+        assignment = hash_partition(net.n_vertices, 3)
+        wrong = stats.active_counts(assignment).assign(
+            n_active=lambda d: d["n_active"] + 1)
+        if kind == "spark":
+            wrong = spark.createDataFrame(wrong)
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                wrong,
+                """
+                SELECT a.qid, a.iter, s.worker, count(*) AS n_active
+                FROM activations a JOIN assign s USING (vid)
+                GROUP BY a.qid, a.iter, s.worker
+                """,
+                activations=trace.activations,
+                assign=assignment.to_pandas(),
             )
-            assert intersection_function(sv, assignment, w, qids) == expected
-
-    def test_empty_subset(self, stats, assignment):
-        assert intersection_function(stats.scope_vertices(), assignment, 0, []) == 0
