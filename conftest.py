@@ -68,8 +68,9 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so that the BSP engine's joins run as
-    shuffle joins even on the small test graphs.
+    The broadcast threshold is -1, so Spark broadcasts no join side on its
+    own: the BSP engine's join still broadcasts, because it carries an
+    explicit hint, and ``test_engine.py::TestSparkJobs`` relies on that.
     """
     s = (
         SparkSession.builder.appName("repro")

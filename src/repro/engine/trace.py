@@ -48,11 +48,6 @@ class Trace:
         """Number of BSP iterations each query executed (index: qid)."""
         return self.activations.groupby("qid")["iter"].max() + 1
 
-    def global_scope(self, qid: int) -> set[int]:
-        """GS(q): all vertices activated by query ``qid`` (paper §2)."""
-        a = self.activations
-        return set(a.loc[a["qid"] == qid, "vid"].tolist())
-
     def restrict(self, qids) -> "Trace":
         """Sub-trace containing only the given queries."""
         qs = set(int(q) for q in qids)

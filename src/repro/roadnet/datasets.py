@@ -52,5 +52,6 @@ def tiny_grid(seed: int = 3) -> RoadNetwork:
 
 
 def edges_df(spark: SparkSession, net: RoadNetwork) -> DataFrame:
-    """Edge DataFrame only (the BSP engine's hot input), cached."""
+    """The (src, dst, w) edges of ``net`` as a Spark DataFrame (not cached),
+    the BSP engine's input."""
     return spark.createDataFrame(net.edges)

@@ -1,12 +1,16 @@
-"""BSP engine correctness vs Dijkstra + trace invariants (Spark)."""
-import numpy as np
+"""BSP engine correctness vs Dijkstra and the frontier replay, trace
+invariants and the engine's Spark job count."""
+import importlib.util
+import sys
+from pathlib import Path
+
 import pandas as pd
 import pytest
 
 from repro.engine import run_queries
 from repro.engine.trace import Trace, workload_key
 from repro.queries.workload import Query, hotspot_queries
-from repro.roadnet.datasets import edges_df, tiny_grid
+from repro.roadnet.datasets import bw_lite, edges_df, tiny_grid
 
 from tests.reference import dijkstra, nearest_tagged
 
@@ -29,6 +33,32 @@ def workload(net):
 @pytest.fixture(scope="module")
 def trace(spark, net, workload) -> Trace:
     return run_queries(spark, edges_df(spark, net), workload, net, max_iters=80)
+
+
+@pytest.fixture(scope="module")
+def counted_run(spark, net, workload) -> tuple[Trace, int]:
+    """A second run of the workload and the number of Spark jobs it ran,
+    counted with a job group as ``qgbench/spans.py`` counts them."""
+    sc = spark.sparkContext
+    prev = sc.getLocalProperty("spark.jobGroup.id")
+    sc.setJobGroup("test-engine-jobs", "run_queries")
+    try:
+        out = run_queries(spark, edges_df(spark, net), workload, net, max_iters=80)
+    finally:
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        sc.setLocalProperty("spark.jobGroup.id", prev)
+    return out, len(sc.statusTracker().getJobIdsForGroup("test-engine-jobs"))
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """``qgbench/reference.py``, the numpy frontier-BSP replay, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "qgbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("qgbench_reference", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up here
+    spec.loader.exec_module(mod)
+    return mod
 
 
 class TestSSSPCorrectness:
@@ -106,12 +136,17 @@ class TestTraceInvariants:
         pairs = set(zip(trace.messages["src"], trace.messages["dst"]))
         assert pairs <= edges
 
-    def test_global_scope(self, trace, workload):
-        q = workload[0]
-        gs = trace.global_scope(q.qid)
-        assert q.start in gs
-        a = trace.activations
-        assert gs == set(a.loc[a["qid"] == q.qid, "vid"])
+    def test_columns_and_dtypes(self, trace):
+        """The cached parquet layout: columns in this order, all 64-bit."""
+        def layout(df):
+            return [(c, str(t)) for c, t in df.dtypes.items()]
+
+        assert layout(trace.activations) == [
+            ("qid", "int64"), ("iter", "int64"), ("vid", "int64")]
+        assert layout(trace.messages) == [
+            ("qid", "int64"), ("iter", "int64"), ("src", "int64"), ("dst", "int64")]
+        assert layout(trace.final) == [
+            ("qid", "int64"), ("vid", "int64"), ("dist", "float64")]
 
     def test_restrict(self, trace, workload):
         qids = [workload[0].qid, workload[1].qid]
@@ -119,11 +154,45 @@ class TestTraceInvariants:
         assert set(sub.activations["qid"]) == set(qids)
         assert set(sub.final["qid"]) <= set(qids) | set(sub.final["qid"])
 
-    def test_determinism(self, spark, net, workload, trace):
-        again = run_queries(spark, edges_df(spark, net), workload, net, max_iters=80)
+    def test_determinism(self, trace, counted_run):
+        again, _ = counted_run
         a = trace.activations.sort_values(["qid", "iter", "vid"]).reset_index(drop=True)
         b = again.activations.sort_values(["qid", "iter", "vid"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b)
+
+
+class TestReference:
+    """The trace equals the independent numpy frontier replay: the same
+    activations and messages per (qid, iter), the same final state, and
+    Dijkstra's distance at each query's nearest target."""
+
+    def _bad_qids(self, reference, trace, net, queries, max_iters):
+        return reference.check_trace(
+            trace, net, queries, reference.replay(net, queries),
+            reference.dijkstra_targets(net, queries), max_iters=max_iters)
+
+    def test_tiny_grid(self, reference, net, workload, trace):
+        assert self._bad_qids(reference, trace, net, workload, 80) == set()
+
+    def test_bw_lite_sample(self, spark, reference):
+        net = bw_lite()
+        qs = hotspot_queries(net, n_queries=8, batch_size=8, seed=1)
+        qs += hotspot_queries(net, n_queries=8, batch_size=8, kind="poi", seed=101,
+                              qid_offset=100, batch_offset=1)
+        got = run_queries(spark, edges_df(spark, net), qs, net, max_iters=150)
+        assert self._bad_qids(reference, got, net, qs, 150) == set()
+
+
+class TestSparkJobs:
+    def test_jobs_per_superstep(self, counted_run):
+        """Three jobs per superstep (frontier collect, frontier broadcast,
+        state map stage) and three to finish (the empty frontier, the final
+        state, the message trace). Under the session's broadcast threshold
+        of -1 the join would lose its broadcast without the explicit hint
+        and shuffle both sides: two map stages in place of one broadcast."""
+        again, jobs = counted_run
+        supersteps = int(again.activations["iter"].max()) + 1
+        assert jobs <= 3 * supersteps + 3
 
 
 class TestValidation:
