@@ -69,8 +69,7 @@ def spark() -> SparkSession:
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
     The broadcast threshold is -1, so Spark broadcasts no join side on its
-    own: the BSP engine's join still broadcasts, because it carries an
-    explicit hint, and ``test_engine.py::TestSparkJobs`` relies on that.
+    own; the BSP engine runs no join (one ``mapInPandas`` job per trace).
     """
     s = (
         SparkSession.builder.appName("repro")

@@ -1,144 +1,63 @@
-"""The multi-query BSP superstep loop (paper Section 2, "Background").
+"""The multi-query BSP engine (paper Section 2, "Background").
 
-One loop executes *all* queries of a workload simultaneously — states are
-keyed by (qid, vid), so queries are logically independent exactly as in
-Q-Graph's decoupled per-query execution. The state lives in Spark, and a
-superstep runs three Spark jobs:
+Queries are logically independent, as in Q-Graph's decoupled per-query
+execution: a query's state is keyed by (qid, vid), its messages come only
+from its own state and its pruning bound only from its own targets. So the
+trace of a workload is the union of its queries' traces run alone, and the
+engine shards the *queries*, not the vertices. One ``mapInPandas`` job runs
+one task per shard, ``defaultParallelism`` shards (a task has a fixed cost,
+so more shards than cores only add overhead). The road network's
+CSR and each shard's starts and targets travel in the task's closure, which
+Spark broadcasts with the stage. A task runs its shard's frontier BSP to
+convergence, or to ``max_iters`` supersteps, in numpy
+(:mod:`repro.engine.kernel`), with Pregel's semantics (Malewicz et al.,
+SIGMOD'10): a min combiner, re-activation only on strict improvement, and a
+running bound, the best distance found at any of the query's targets. It
+yields its activation, message and final rows in one tagged schema; the
+driver collects them with one ``toPandas``, sorts them and splits them into
+the trace's three frames, so the trace depends on neither the shard count
+nor the task order. A shard's state is shard size x |V| x 8 B; shards are
+made smaller where that would exceed ``_SHARD_STATE_BYTES``.
 
-1. collect the frontier, the active ``(qid, vid, dist)`` rows: the
-   activation trace and the termination test;
-2. broadcast the frontier back, each row carrying its query's bound, and
-   join it with the edges into ``msgs``, the candidates ``dist + w`` below
-   the bound;
-3. update the state in one shuffle: ``state ∪ msgs`` grouped by
-   ``(qid, vid)`` with the min combiner (the map stage; the result stage
-   runs in the next superstep's collect).
-
-``msgs`` and the state are lazy local checkpoints, stored by the first job
-that reads them and released before the loop returns. The broadcast hint
-pins the plan whatever ``spark.sql.autoBroadcastJoinThreshold`` is.
-
-Bounds are kept on the driver. A state row's ``dist`` changes only when the
-row is (re)activated, and then the row is in the next frontier, so the
-running minimum of ``dist`` over the frontier rows at a query's targets
-equals the minimum over its current state rows at the targets.
-
-The activation and message trace feeds the simulated cluster (see
-:mod:`repro.engine.trace`); since BSP execution is partition-independent,
-it is computed once per workload and re-priced under every
-partitioning/synchronization configuration. The message trace is
-collected once, after the last superstep.
+The trace feeds the simulated cluster (:mod:`repro.engine.trace`): BSP
+execution is partition-independent, so it is computed once per workload and
+re-priced under every partitioning/synchronization configuration.
 """
 from __future__ import annotations
 
-import math
-from functools import reduce
-
 import numpy as np
 import pandas as pd
+from pyspark import cloudpickle
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
+from repro.engine import kernel
 from repro.engine.trace import Trace
-from repro.engine.vertex_programs import init_state, targets_for
+from repro.engine.vertex_programs import targets_for
 from repro.queries.workload import Query
 from repro.roadnet.generator import RoadNetwork
 
-_INF = float(math.inf)
+# Python workers need not import repro: the kernel travels by value.
+cloudpickle.register_pickle_by_value(kernel)
+
+_SHARD_STATE_BYTES = 64 << 20  # per task
 
 
-def _release(checkpoints: list[DataFrame]) -> None:
-    """Drop the stored blocks of local checkpoints. They stay stored after
-    the last Python reference is gone, and PySpark has no call for this."""
-    for df in checkpoints:
-        df._jdf.queryExecution().analyzed().rdd().unpersist(False)
-
-
-def _bsp_loop(
-    spark: SparkSession,
-    edges: DataFrame,
-    state0: pd.DataFrame,
-    targets: pd.DataFrame,
-    *,
-    max_iters: int,
-) -> Trace:
-    """Run the relaxation loop until no query has an active vertex."""
-    edges = edges.select("src", "dst", "w")
-    checkpoints: list[DataFrame] = []  # released before returning
-
-    def checkpoint(df: DataFrame) -> DataFrame:
-        df = df.localCheckpoint(eager=False)
-        checkpoints.append(df)
-        return df
-
-    state = checkpoint(spark.createDataFrame(state0.assign(active=True)))
-    # qid -> best dist found at any of its targets (see the module docstring)
-    bound = pd.Series(_INF, index=pd.Index(state0["qid"].unique(), name="qid"))
-    cols_a = ["qid", "iter", "vid"]
-    cols_m = ["qid", "iter", "src", "dst"]
-    act_frames: list[pd.DataFrame] = []
-    msg_parts: list[DataFrame] = []
-    try:
-        for it in range(max_iters):
-            frontier = state.filter(F.col("active")).select("qid", "vid", "dist").toPandas()
-            if frontier.empty:
-                break
-            act_frames.append(frontier[["qid", "vid"]].assign(iter=it))
-            hits = frontier.merge(targets, on=["qid", "vid"]).groupby("qid")["dist"].min()
-            bound = np.minimum(bound, hits.reindex(bound.index, fill_value=_INF))
-
-            active = F.broadcast(spark.createDataFrame(
-                frontier.assign(bound=frontier["qid"].map(bound))))
-            msgs = checkpoint(
-                active.join(edges, active["vid"] == edges["src"])
-                .select(
-                    "qid",
-                    F.lit(it).cast("long").alias("iter"),
-                    "src",
-                    "dst",
-                    (active["dist"] + edges["w"]).alias("cand"),
-                    "bound",
-                )
-                .filter(F.col("cand") < F.col("bound"))
-                .drop("bound")
-            )
-            msg_parts.append(msgs)
-
-            joined = (
-                state.select("qid", "vid", "dist", F.lit(None).cast("double").alias("cand"))
-                .unionByName(msgs.select(
-                    "qid", F.col("dst").alias("vid"), F.lit(None).cast("double").alias("dist"),
-                    "cand"))
-                .groupBy("qid", "vid")
-                .agg(F.min("dist").alias("dist"), F.min("cand").alias("cand"))
-            )
-            state = checkpoint(joined.select(
-                "qid",
-                "vid",
-                F.least(
-                    F.coalesce(F.col("dist"), F.lit(_INF)),
-                    F.coalesce(F.col("cand"), F.lit(_INF)),
-                ).alias("dist"),
-                (
-                    F.col("cand").isNotNull()
-                    & (F.col("cand") < F.coalesce(F.col("dist"), F.lit(_INF)))
-                ).alias("active"),
-            ))
-
-        final = state.select("qid", "vid", "dist").toPandas()
-        messages = (
-            reduce(DataFrame.unionAll, msg_parts).select(*cols_m).toPandas()
-            if msg_parts
-            else pd.DataFrame(columns=cols_m)
-        )
-    finally:
-        _release(checkpoints)
-    activations = (
-        pd.concat(act_frames, ignore_index=True)[cols_a]
-        if act_frames
-        else pd.DataFrame(columns=cols_a)
-    )
-    return Trace(activations=activations, messages=messages, final=final)
+def _shard_task(net: RoadNetwork, queries: list[Query], n_shards: int, max_iters: int):
+    """The ``mapInPandas`` function: shard ``s`` runs queries ``s, s +
+    n_shards, ...`` over the CSR (indptr, dst, w) of ``net``."""
+    e = net.edges.sort_values(["src", "dst"], kind="stable")
+    indptr = np.zeros(net.n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(e["src"], minlength=net.n_vertices), out=indptr[1:])
+    csr = (indptr, e["dst"].to_numpy(np.int64), e["w"].to_numpy(np.float64))
+    qids = np.array([q.qid for q in queries], dtype=np.int64)
+    starts = np.array([q.start for q in queries], dtype=np.int64)
+    targets = targets_for(queries, net)
+    tq = pd.Index(qids).get_indexer(targets["qid"])
+    tv = targets["vid"].to_numpy(np.int64)
+    shards = [(qids[s::n_shards], starts[s::n_shards],
+               tq[tq % n_shards == s] // n_shards, tv[tq % n_shards == s])
+              for s in range(n_shards)]
+    return kernel.shard_task(csr, shards, max_iters)
 
 
 def run_queries(
@@ -149,21 +68,32 @@ def run_queries(
     *,
     max_iters: int = 200,
 ) -> Trace:
-    """Execute a workload of SSSP/POI queries; return its execution trace.
+    """Execute a workload of SSSP/POI queries; return its execution trace,
+    sorted by (qid, iter, vid), (qid, iter, src, dst) and (qid, vid).
 
-    ``edges`` is the (src, dst, w) DataFrame of ``net`` (both directions).
-    All queries run in one shared superstep loop; per-query termination is
-    implicit (a finished query simply has no active vertices left).
+    ``edges`` is unused (the engine reads ``net.edges``); it stays so that
+    callers keep their calls. A query still active after ``max_iters``
+    supersteps is cut off there without a signal.
     """
     if not queries:
         raise ValueError("empty workload")
     qids = [q.qid for q in queries]
     if len(set(qids)) != len(qids):
         raise ValueError("duplicate qids in workload")
-    return _bsp_loop(
-        spark,
-        edges,
-        init_state(queries),
-        targets_for(queries, net),
-        max_iters=max_iters,
-    )
+    per_shard = max(1, _SHARD_STATE_BYTES // (8 * net.n_vertices))
+    n_shards = max(min(len(queries), spark.sparkContext.defaultParallelism),
+                   -(-len(queries) // per_shard))
+    rows = spark.range(n_shards, numPartitions=n_shards).mapInPandas(
+        _shard_task(net, queries, n_shards, max_iters), kernel.SCHEMA).toPandas()
+    col = {c: rows[c].to_numpy() for c in rows.columns}
+    order = np.lexsort([col[c] for c in ("dst", "vid", "iter", "qid", "tag")])
+    cut = np.searchsorted(col["tag"][order], [kernel.MESSAGE, kernel.FINAL])
+    act, msg, fin = np.split(order, cut)
+
+    def frame(idx, **src):  # trace column -> transfer column, widened to 64 bits
+        return pd.DataFrame({name: col[c][idx].astype("f8" if c == "dist" else "i8", copy=False)
+                             for name, c in src.items()})
+
+    return Trace(activations=frame(act, qid="qid", iter="iter", vid="vid"),
+                 messages=frame(msg, qid="qid", iter="iter", src="vid", dst="dst"),
+                 final=frame(fin, qid="qid", vid="vid", dist="dist"))

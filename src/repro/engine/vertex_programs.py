@@ -15,8 +15,8 @@ They differ only in the *target set* that bounds the search:
   of the closest tagged vertex found so far. Final result: the nearest
   tagged vertex and its travel time.
 
-The shared relaxation loop lives in :mod:`repro.engine.pregel`; this module
-builds the initial state and the per-query target sets.
+The relaxation itself is :mod:`repro.engine.kernel`, run by
+:mod:`repro.engine.pregel`; this module builds the per-query target sets.
 """
 from __future__ import annotations
 
@@ -25,17 +25,6 @@ import pandas as pd
 
 from repro.queries.workload import Query
 from repro.roadnet.generator import RoadNetwork
-
-
-def init_state(queries: list[Query]) -> pd.DataFrame:
-    """Initial BSP state: each query's start vertex at distance 0, active."""
-    return pd.DataFrame(
-        {
-            "qid": np.array([q.qid for q in queries], dtype=np.int64),
-            "vid": np.array([q.start for q in queries], dtype=np.int64),
-            "dist": np.zeros(len(queries)),
-        }
-    )
 
 
 def targets_for(queries: list[Query], net: RoadNetwork) -> pd.DataFrame:

@@ -52,6 +52,6 @@ def tiny_grid(seed: int = 3) -> RoadNetwork:
 
 
 def edges_df(spark: SparkSession, net: RoadNetwork) -> DataFrame:
-    """The (src, dst, w) edges of ``net`` as a Spark DataFrame (not cached),
-    the BSP engine's input."""
+    """The (src, dst, w) edges of ``net`` as a Spark DataFrame (not cached).
+    ``run_queries`` still takes it but reads the edges from ``net``."""
     return spark.createDataFrame(net.edges)

@@ -1,13 +1,17 @@
 """BSP engine correctness vs Dijkstra and the frontier replay, trace
-invariants and the engine's Spark job count."""
+invariants, query independence, truncation, shipping the kernel to workers
+and the engine's Spark job count."""
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pandas as pd
 import pytest
+from pyspark import cloudpickle
 
-from repro.engine import run_queries
+from repro.engine import pregel, run_queries
 from repro.engine.trace import Trace, workload_key
 from repro.queries.workload import Query, hotspot_queries
 from repro.roadnet.datasets import bw_lite, edges_df, tiny_grid
@@ -161,6 +165,67 @@ class TestTraceInvariants:
         pd.testing.assert_frame_equal(a, b)
 
 
+def assert_same_trace(got: Trace, want: Trace) -> None:
+    for name in ("activations", "messages", "final"):
+        g, w = (getattr(t, name).reset_index(drop=True) for t in (got, want))
+        assert g.equals(w), name
+
+
+class TestQueryIndependence:
+    """A query's trace is the one it has when run alone, whatever runs with
+    it and in which order: T3/T7/T8 restrict one traced workload to its
+    first phase, and the engine shards the queries."""
+
+    def test_subset_runs_alone(self, spark, net, workload, trace):
+        subset = workload[::3]
+        alone = run_queries(spark, edges_df(spark, net), subset, net, max_iters=80)
+        assert_same_trace(trace.restrict([q.qid for q in subset]), alone)
+
+    def test_query_order(self, spark, net, workload, trace):
+        again = run_queries(spark, edges_df(spark, net), workload[::-1], net, max_iters=80)
+        assert_same_trace(again, trace)
+
+
+class TestTruncation:
+    def test_cut_trace_is_prefix(self, spark, net, workload, trace):
+        """Cut at ``max_iters``, the trace is the first supersteps of the
+        full one, and its final state is the state after the last superstep:
+        the starts and the receivers of its messages, none closer than at
+        convergence."""
+        cut = run_queries(spark, edges_df(spark, net), workload, net, max_iters=3)
+        for name in ("activations", "messages"):
+            full = getattr(trace, name)
+            assert getattr(cut, name).equals(full[full["iter"] < 3].reset_index(drop=True))
+        reached = {(q.qid, q.start) for q in workload}
+        reached |= set(zip(cut.messages["qid"], cut.messages["dst"]))
+        assert set(zip(cut.final["qid"], cut.final["vid"])) == reached
+        converged = trace.final.set_index(["qid", "vid"])["dist"]
+        assert (cut.final["dist"].to_numpy()
+                >= converged.loc[list(zip(cut.final["qid"], cut.final["vid"]))].to_numpy()).all()
+
+
+class TestShipping:
+    def test_task_runs_without_repro(self, net, workload, tmp_path):
+        """A Python worker need not be able to import ``repro``: the task
+        unpickles and runs in a process that cannot reach ``src/``."""
+        task = pregel._shard_task(net, workload[:5], 2, 80)
+        (tmp_path / "task.pkl").write_bytes(cloudpickle.dumps(task))
+        script = (
+            "import pickle, sys\n"
+            "sys.modules['repro'] = None  # any import of repro fails\n"
+            "import pandas as pd\n"
+            "task = pickle.load(open('task.pkl', 'rb'))\n"
+            "pd.concat(task(iter([pd.DataFrame({'id': [1]})]))).to_pickle('out.pkl')\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        got = pd.read_pickle(tmp_path / "out.pkl")
+        want = pd.concat(task(iter([pd.DataFrame({"id": [1]})])))
+        assert len(got) and got.equals(want)
+
+
 class TestReference:
     """The trace equals the independent numpy frontier replay: the same
     activations and messages per (qid, iter), the same final state, and
@@ -193,6 +258,12 @@ class TestSparkJobs:
         again, jobs = counted_run
         supersteps = int(again.activations["iter"].max()) + 1
         assert jobs <= 3 * supersteps + 3
+
+    def test_jobs_per_trace(self, counted_run):
+        """One job runs every shard and collects the trace, however many
+        supersteps the queries take."""
+        _, jobs = counted_run
+        assert jobs <= 2
 
 
 class TestValidation:
