@@ -1,9 +1,9 @@
 """Vertex → worker assignment (the function A of paper Section 2).
 
 Vertices are contiguous ``0..n-1``, so an assignment is a dense int array.
-``move_vertices`` implements the worker-API call ``move(LS(q,w), w, w')``
-(paper Table 2) at the vertex level: the controller ships a set of vertex
-ids from one worker to another.
+An assignment is immutable: the controller's ``move(LS(q,w), w, w')``
+requests (paper Table 2) produce a new one
+(``repro.controller.simulator._apply_qcut_moves``).
 """
 from __future__ import annotations
 
@@ -36,14 +36,6 @@ class Assignment:
     def vertex_counts(self) -> np.ndarray:
         """|V(w)| for each worker (paper A.1 workload term)."""
         return np.bincount(self.workers, minlength=self.k)
-
-    def move_vertices(self, vids, dst_worker: int) -> "Assignment":
-        """New assignment with ``vids`` reassigned to ``dst_worker``."""
-        if not (0 <= dst_worker < self.k):
-            raise ValueError(f"dst worker {dst_worker} out of range")
-        w = self.workers.copy()
-        w[np.asarray(list(vids), dtype=np.int64)] = dst_worker
-        return Assignment(workers=w, k=self.k)
 
     def to_pandas(self) -> pd.DataFrame:
         return pd.DataFrame(

@@ -72,14 +72,12 @@ def ldg_partition(net: RoadNetwork, k: int, *, slack: float = 0.1) -> Assignment
         raise ValueError("k must be >= 1")
     n = net.n_vertices
     cap = n * (1.0 + slack) / k
-    adj = net.adjacency()
+    indptr, dst, _ = net.csr
     workers = np.full(n, -1, dtype=np.int32)
     sizes = np.zeros(k, dtype=np.int64)
     for vid in range(n):
-        nbr_w = np.zeros(k, dtype=np.int64)
-        for d, _ in adj[vid]:
-            if workers[d] >= 0:
-                nbr_w[workers[d]] += 1
+        nbr = workers[dst[indptr[vid]:indptr[vid + 1]]]
+        nbr_w = np.bincount(nbr[nbr >= 0], minlength=k)
         score = nbr_w * (1.0 - sizes / cap)
         score[sizes >= cap] = -np.inf
         best = np.flatnonzero(score == score.max())

@@ -1,22 +1,27 @@
 """End-to-end multi-batch experiment harness (paper Section 4 workflow).
 
-Runs a workload's batches in arrival order against the simulated cluster:
+Runs a workload's batches in arrival order against the simulated cluster,
+one round of the controller's MAPE loop (paper §3.4) per batch:
 
-  trace (Spark BSP, partition-independent)
-    → per-assignment worker reports (numpy aggregations of trace ⋈
-      assignment, :class:`TraceStats`)
-      → per-batch latency/locality/imbalance (:func:`simulate_batch`)
-        → MAPE adaptivity (:class:`AdaptiveController`)
-          → Q-cut ILS (:func:`run_qcut`) → move(LS(q,w), w, w') → new
-            assignment, re-priced reports.
+* *analyze*: the :class:`AdaptiveController` decides, on the window of
+  reports monitored up to the previous batch, whether to repartition;
+* *execute*: the batch is priced (:func:`simulate_batch`) from the workers'
+  reports under the assignment in force (:class:`TraceStats`: the trace
+  joined with the assignment, aggregated in numpy);
+* *plan*: Q-cut (:func:`run_qcut`) over the window queries' reports, turned
+  into move(LS(q,w), w, w') vertex moves. The move happens at a global
+  barrier during the batch, whose remaining ticks are priced again under
+  the new assignment (:func:`simulate_batch_switch`);
+* *monitor*: the batch's per-query locality and per-worker workload feed
+  the next decision.
 
-Only the trace comes from Spark; pricing, adaptivity and Q-cut run in
-numpy on the driver.
+Only the trace comes from Spark, and only :class:`TraceStats` reads it;
+pricing, adaptivity and Q-cut run in numpy on the driver.
 
-Static configurations simply never repartition. The Q-cut ILS runs
-asynchronously in the real system (its latency is hidden, Appendix A.3);
-here the visible repartitioning overhead is the global STOP/START barrier
-plus vertex shipping, charged to the batch after the move.
+Static configurations never repartition. The Q-cut ILS runs asynchronously
+in the real system (its latency is hidden, Appendix A.3); here the visible
+repartitioning overhead is the global STOP/START barrier plus vertex
+shipping, charged to every query still running at the switch.
 """
 from __future__ import annotations
 
@@ -38,6 +43,14 @@ from repro.roadnet.generator import RoadNetwork
 from repro.sync.barriers import BarrierMode, simulate_batch, simulate_batch_switch
 
 
+# The global barrier of a repartition fires this far into the batch (stats
+# need a few iterations before Q-cut can act).
+_SWITCH_TICK_FRAC = 0.3
+# Majority-of-neighbours sweeps over the vertices outside every window scope
+# after a move (see _apply_qcut_moves).
+_RESIDUAL_SWEEPS = 3
+
+
 @dataclass
 class ExperimentConfig:
     """One evaluation configuration (partitioning x barrier x infrastructure)."""
@@ -48,12 +61,6 @@ class ExperimentConfig:
     barrier: BarrierMode = "hybrid"  # hybrid | global (Fig. 6d baseline)
     cost: CostModel = M2
     adaptivity: AdaptivityParams = field(default_factory=AdaptivityParams)
-    ils_time_budget: float | None = 0.5  # paper: 2 s; scaled problem is tiny
-    ils_max_rounds: int = 40
-    target_clusters: int | None = None   # None: balanced-Karger communities
-    repartition_tick_frac: float = 0.3   # global barrier fires this far into
-                                         # the batch (stats need a few
-                                         # iterations before Q-cut can act)
     seed: int = 0
 
     @property
@@ -89,9 +96,7 @@ def initial_assignment(net: RoadNetwork, k: int, name: str) -> Assignment:
     raise ValueError(f"unknown initial partitioner {name!r}")
 
 
-def _exclusive_cluster_of(
-    window_activations: pd.DataFrame, clusters: list[list[int]]
-) -> pd.DataFrame:
+def _exclusive_cluster_of(scope: pd.DataFrame, clusters: list[list[int]]) -> pd.DataFrame:
     """Partition the window's scope vertices into *disjoint* cluster chunks.
 
     Query scopes overlap, so a vertex can belong to several clusters'
@@ -99,39 +104,34 @@ def _exclusive_cluster_of(
     requests would undo the split the ILS planned. Each vertex goes to the
     cluster whose queries activated it most often (ties: lowest cluster id)
     — chunks are therefore activation-ball shaped, i.e. spatially coherent.
-    Returns (vid, cluster)."""
+    ``scope`` holds (qid, vid, n_active) rows, as
+    :meth:`TraceStats.scope_vertices` returns them. Returns (vid, cluster)."""
     q2c = {q: ci for ci, qs in enumerate(clusters) for q in qs}
-    a = window_activations[["qid", "vid"]].copy()
-    a["cluster"] = a["qid"].map(q2c)
     counts = (
-        a.groupby(["vid", "cluster"]).size().rename("n").reset_index()
+        scope.assign(cluster=scope["qid"].map(q2c))
+        .groupby(["vid", "cluster"])["n_active"].sum().rename("n").reset_index()
         .sort_values(["vid", "n", "cluster"], ascending=[True, False, True])
     )
     return counts.drop_duplicates("vid")[["vid", "cluster"]]
 
 
 def _apply_qcut_moves(
-    assignment: Assignment,
-    result: QcutResult,
-    window_activations: pd.DataFrame,
-    net: RoadNetwork,
-    *,
-    residual_sweeps: int = 3,
+    assignment: Assignment, result: QcutResult, scope: pd.DataFrame, net: RoadNetwork
 ) -> tuple[Assignment, int]:
     """Translate the high-level placement back to vertex moves (paper §3.2.1
-    step 3): each disjoint cluster chunk follows its cluster's planned
-    per-origin-worker destination.
+    step 3): each disjoint cluster chunk of ``scope`` follows its cluster's
+    planned per-origin-worker destination.
 
     After the chunk moves, vertices *not* covered by any window scope are
-    re-labelled to the majority worker of their graph neighbours for a few
-    sweeps. A move request ships a coherent graph region, not a ragged
-    vertex set: the observed scope is the region's core, and the enclosed
-    unobserved remainder follows it — otherwise every region would be torn
-    between its new core worker and the stale residue worker, splitting all
-    future queries there (a scale artifact of the lite graphs, where one
-    query ball covers a large fraction of its region; documented in
-    DESIGN.md §2)."""
-    vc = _exclusive_cluster_of(window_activations, result.clusters)
+    re-labelled, in vid order, to the majority worker of their graph
+    neighbours for a few sweeps. A move request ships a coherent graph
+    region, not a ragged vertex set: the observed scope is the region's
+    core, and the enclosed unobserved remainder follows it — otherwise every
+    region would be torn between its new core worker and the stale residue
+    worker, splitting all future queries there (a scale artifact of the lite
+    graphs, where one query ball covers a large fraction of its region;
+    documented in DESIGN.md §2)."""
+    vc = _exclusive_cluster_of(scope, result.clusters)
     scope_vids = vc["vid"].to_numpy()
     cur = assignment.worker_of(scope_vids)
     new_workers = assignment.workers.copy()
@@ -146,19 +146,14 @@ def _apply_qcut_moves(
 
     in_scope = np.zeros(len(new_workers), dtype=bool)
     in_scope[scope_vids] = True
-    adj = net.adjacency()
-    k = assignment.k
-    for _ in range(residual_sweeps):
+    indptr, dst, _ = net.csr
+    for _ in range(_RESIDUAL_SWEEPS):
         changed = False
         for v in np.flatnonzero(~in_scope):
-            nbrs = adj[int(v)]
-            if not nbrs:
-                continue
-            counts = np.zeros(k, dtype=np.int64)
-            for u, _ in nbrs:
-                counts[new_workers[u]] += 1
+            counts = np.bincount(new_workers[dst[indptr[v]:indptr[v + 1]]],
+                                 minlength=assignment.k)
             best = int(np.argmax(counts))
-            if counts[best] > counts[new_workers[v]] and best != new_workers[v]:
+            if counts[best] > counts[new_workers[v]]:
                 new_workers[v] = best
                 changed = True
         if not changed:
@@ -166,6 +161,27 @@ def _apply_qcut_moves(
 
     moved = int((new_workers != assignment.workers).sum())
     return Assignment(workers=new_workers, k=assignment.k), moved
+
+
+def _plan(
+    stats: TraceStats,
+    assignment: Assignment,
+    window: list[int],
+    iter_lt: dict[int, int],
+    net: RoadNetwork,
+    cfg: ExperimentConfig,
+) -> tuple[QcutResult, Assignment, int] | None:
+    """MAPE plan: Q-cut over the window queries' reports, then the vertex
+    moves that realise its placement. Returns (Q-cut result, new
+    assignment, moved vertices), or None if the window has no scope."""
+    scope = stats.scope_vertices(window, iter_lt)
+    inp = qcut_input(scope, assignment)
+    if not inp.qids:
+        return None
+    # fixed seed: clustering boundaries stay stable across repartitions, so
+    # placements accrete instead of reshuffling chunk borders every time
+    qres = run_qcut(inp, delta=cfg.adaptivity.delta, seed=cfg.seed)
+    return (qres, *_apply_qcut_moves(assignment, qres, scope, net))
 
 
 def run_experiment(
@@ -177,98 +193,58 @@ def run_experiment(
 ) -> ExperimentResult:
     """Price the traced workload under ``cfg``; adapt if configured.
 
-    ``spark`` is unused: pricing runs no Spark job."""
+    One MAPE round per batch (paper §3.4): *analyze* the reports monitored
+    up to the previous batch and decide whether to repartition; *execute*
+    the batch priced from the workers' reports under the assignment in
+    force; if repartitioning, *plan* with Q-cut, move at a global barrier
+    during the batch (running queries' scopes move mid-flight; their
+    remaining iterations run on the new assignment, priced again) and
+    *monitor* the batch's locality and workload. Only :class:`TraceStats`
+    reads the trace. ``spark`` is unused: pricing runs no Spark job."""
     assignment = initial_assignment(net, cfg.k, cfg.initial)
     stats = TraceStats(trace)
     controller = AdaptiveController(params=cfg.adaptivity)
+    batch_rows = []
+    query_rows = []
+    qcut_runs: list[QcutResult] = []
     try:
-        ac = stats.active_counts(assignment)
-        mc = stats.message_counts(assignment)
-
-        batch_rows = []
-        query_rows = []
-        qcut_runs: list[QcutResult] = []
         for batch, qs in queries_by_batch(queries).items():
-            qids = [q.qid for q in qs]
-            ac_b = ac[ac["qid"].isin(qids)]
-            mc_b = mc[mc["qid"].isin(qids)] if len(mc) else mc
-
-            # ---- MAPE analyze/plan: decide on stats up to the previous
-            # batch, repartition at a global barrier *during* this batch
-            # (paper §3.3/§3.4: the Q-cut runs asynchronously; running
-            # queries' scopes move mid-flight and their remaining
-            # iterations execute on the optimized partitioning).
-            repartitioned = False
-            moved = 0
-            switch_tick = 0
+            qids = [int(q.qid) for q in qs]
+            # execute: the batch's reports under the assignment in force
+            ac = stats.active_counts(assignment, qids)
+            mc = stats.message_counts(assignment, qids)
+            plan = None
+            # analyze: decide on the stats monitored up to the previous batch
             if cfg.adaptive and controller.should_repartition(batch - 1):
-                t_batch = int(ac_b["iter"].max()) + 1
-                switch_tick = max(2, int(round(cfg.repartition_tick_frac * t_batch)))
-                # running queries have only reported iterations < switch_tick
-                iter_lt = {int(q): switch_tick for q in qids}
-                window = controller.window_qids(batch - 1) + [int(q) for q in qids]
-                window = window[: cfg.adaptivity.max_window_queries]
-                inp = qcut_input(stats.scope_vertices(window, iter_lt), assignment)
-                if inp.qids:
-                    qres = run_qcut(
-                        inp,
-                        delta=cfg.adaptivity.delta,
-                        target_clusters=cfg.target_clusters,
-                        time_budget=cfg.ils_time_budget,
-                        max_rounds=cfg.ils_max_rounds,
-                        # fixed seed: clustering boundaries stay stable
-                        # across repartitions, so placements accrete
-                        # instead of reshuffling chunk borders every time
-                        seed=cfg.seed,
-                    )
-                    qcut_runs.append(qres)
-                    a = trace.activations
-                    win_act = a[
-                        a["qid"].isin(set(inp.qids))
-                        & (~a["qid"].isin(set(qids)) | (a["iter"] < switch_tick))
-                    ]
-                    assignment, moved = _apply_qcut_moves(
-                        assignment, qres, win_act, net
-                    )
-                    if moved:
-                        # only batches not yet priced need the new prices
-                        min_qid = min(int(q) for q in qids)
-                        keep_a = ac[ac["qid"] < min_qid]
-                        keep_m = mc[mc["qid"] < min_qid] if len(mc) else mc
-                        ac = pd.concat(
-                            [keep_a, stats.active_counts(assignment, min_qid)],
-                            ignore_index=True,
-                        )
-                        mc = pd.concat(
-                            [keep_m, stats.message_counts(assignment, min_qid)],
-                            ignore_index=True,
-                        )
-                    controller.repartitioned(batch)
-                    repartitioned = True
-
-            if repartitioned:
-                overhead = (
-                    cfg.cost.barrier_cost(cfg.k)
-                    + moved * cfg.cost.move_per_vertex / cfg.k
-                )
+                # plan: the move happens at a global barrier during this
+                # batch; its queries have reported iterations < switch_tick
+                t_batch = int(ac["iter"].max()) + 1
+                switch_tick = max(2, int(round(_SWITCH_TICK_FRAC * t_batch)))
+                window = controller.window_qids(batch - 1) + qids
+                plan = _plan(stats, assignment,
+                             window[: cfg.adaptivity.max_window_queries],
+                             dict.fromkeys(qids, switch_tick), net, cfg)
+            moved = 0
+            if plan is None:
+                res = simulate_batch(ac, mc, k=cfg.k, cost=cfg.cost, mode=cfg.barrier)
+            else:
+                qres, assignment, moved = plan
+                qcut_runs.append(qres)
+                controller.repartitioned(batch)
                 res = simulate_batch_switch(
-                    ac_b,
-                    mc_b,
-                    ac[ac["qid"].isin(qids)],
-                    mc[mc["qid"].isin(qids)] if len(mc) else mc,
+                    ac,
+                    mc,
+                    stats.active_counts(assignment, qids),
+                    stats.message_counts(assignment, qids),
                     switch_tick=switch_tick,
-                    switch_overhead=overhead,
+                    switch_overhead=cfg.cost.barrier_cost(cfg.k)
+                    + moved * cfg.cost.move_per_vertex / cfg.k,
                     k=cfg.k,
                     cost=cfg.cost,
                     mode=cfg.barrier,
                 )
-            else:
-                res = simulate_batch(
-                    ac_b, mc_b, k=cfg.k, cost=cfg.cost, mode=cfg.barrier
-                )
+            # monitor: the stats piggybacked on the batch's barriers
             controller.observe_batch(batch, res.locality, res.worker_totals)
-            window_imbalance = controller.window_imbalance(batch)
-
             batch_rows.append(
                 {
                     "batch": batch,
@@ -277,8 +253,8 @@ def run_experiment(
                     "sum_latency": res.sum_latency,
                     "avg_locality": res.avg_locality,
                     "imbalance": res.imbalance,
-                    "imbalance_window": window_imbalance,
-                    "repartitioned": repartitioned,
+                    "imbalance_window": controller.window_imbalance(batch),
+                    "repartitioned": plan is not None,
                     "moved_vertices": moved,
                 }
             )

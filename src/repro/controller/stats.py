@@ -64,27 +64,27 @@ class TraceStats:
         self._act = self._msg = None
 
     @staticmethod
-    def _since(cols: dict[str, np.ndarray], min_qid: int | None) -> dict[str, np.ndarray]:
-        if min_qid is None:
+    def _select(cols: dict[str, np.ndarray], qids) -> dict[str, np.ndarray]:
+        """The rows of the queries ``qids``; every row if ``qids`` is None."""
+        if qids is None:
             return cols
-        keep = cols["qid"] >= int(min_qid)
+        keep = np.isin(cols["qid"], np.asarray(list(qids), dtype=np.int64))
         return {c: v[keep] for c, v in cols.items()}
 
     # -- worker reports -------------------------------------------------------
-    def active_counts(self, assignment: Assignment, min_qid: int | None = None) -> pd.DataFrame:
-        """(qid, iter, worker, n_active): per-iteration worker activity.
-
-        ``min_qid`` restricts to queries not yet priced — after a mid-run
-        repartition only future batches need re-pricing."""
-        a = self._since(self._act, min_qid)
+    def active_counts(self, assignment: Assignment, qids=None) -> pd.DataFrame:
+        """(qid, iter, worker, n_active): per-iteration worker activity of
+        the queries ``qids`` (all if None)."""
+        a = self._select(self._act, qids)
         return _group_count(
             {"qid": a["qid"], "iter": a["iter"], "worker": assignment.worker_of(a["vid"])},
             "n_active",
         )
 
-    def message_counts(self, assignment: Assignment, min_qid: int | None = None) -> pd.DataFrame:
-        """(qid, iter, w_src, w_dst, n_msgs): message worker-pair counts."""
-        m = self._since(self._msg, min_qid)
+    def message_counts(self, assignment: Assignment, qids=None) -> pd.DataFrame:
+        """(qid, iter, w_src, w_dst, n_msgs): message worker-pair counts of
+        the queries ``qids`` (all if None)."""
+        m = self._select(self._msg, qids)
         return _group_count(
             {"qid": m["qid"], "iter": m["iter"],
              "w_src": assignment.worker_of(m["src"]),
@@ -93,22 +93,22 @@ class TraceStats:
         )
 
     def scope_vertices(self, qids=None, iter_lt: dict | None = None) -> pd.DataFrame:
-        """(qid, vid) distinct global-scope membership, optionally restricted.
+        """(qid, vid, n_active): global-scope membership and how often the
+        query activated the vertex, for the queries ``qids`` (all if None).
 
         ``iter_lt`` maps qid -> iteration bound: for those queries only
         activations with ``iter < bound`` count — a query still running at
         repartition time has reported stats only for its finished
         iterations (paper §3.4 piggybacked stats)."""
-        q, it, v = self._act["qid"], self._act["iter"], self._act["vid"]
-        keep = np.ones(len(q), dtype=bool)
-        if qids is not None:
-            keep &= np.isin(q, np.asarray(list(qids), dtype=np.int64))
+        a = self._select(self._act, qids)
         if iter_lt:
+            q = a["qid"]
             bound = np.full(max(int(q.max(initial=0)), max(iter_lt)) + 1,
                             np.iinfo(np.int64).max)
             bound[list(iter_lt)] = list(iter_lt.values())
-            keep &= it < bound[q]
-        return _group_count({"qid": q[keep], "vid": v[keep]}, None)
+            keep = a["iter"] < bound[q]
+            a = {c: v[keep] for c, v in a.items()}
+        return _group_count({"qid": a["qid"], "vid": a["vid"]}, "n_active")
 
 
 def qcut_input(scope_vertices: pd.DataFrame, assignment: Assignment) -> QcutInput:

@@ -5,8 +5,9 @@ search with the δ-balance successor filter), the perturbation of Appendix
 A.2 (fuse a spread query's scopes on its argmax worker, then rebalance by
 random scope moves from the most- to the least-loaded worker) and the
 initial-solution / termination choices of Appendix A.3 (start from the
-current partitioning; stop on an external budget — here a wall-clock budget
-and a deterministic round cap, mirroring the paper's interruptible design).
+current partitioning; stop on an external budget — here a round cap, so a
+result never depends on how fast the host is; the ILS wall time is
+recorded, not used to stop).
 """
 from __future__ import annotations
 
@@ -17,6 +18,10 @@ import numpy as np
 
 from repro.core.clustering import karger_cluster
 from repro.core.state import QcutState
+
+# Safety cap on one descent; each step lowers the cost, so a descent ends
+# at a local minimum long before it.
+_MAX_DESCENT_STEPS = 10_000
 
 
 @dataclass
@@ -38,27 +43,19 @@ class QcutInput:
 class QcutResult:
     """Best solution found plus the diagnostics plotted in Fig. 6g."""
 
-    placement: dict[tuple[int, int], int]  # (qid, w_from) -> w_to
     cluster_placement: dict[tuple[int, int], int]  # (cluster_idx, w_from) -> w_to
     cost_initial: float
     cost_final: float
     history: list[float]          # best cost after each local search
     perturbation_steps: list[int] # indices into history where we perturbed
     clusters: list[list[int]]
-
-    def moves(self) -> list[tuple[int, int, int]]:
-        """Non-trivial move(LS(q,w), w, w') requests (paper Table 2)."""
-        return [
-            (q, w_from, w_to)
-            for (q, w_from), w_to in sorted(self.placement.items())
-            if w_from != w_to
-        ]
+    ils_s: float                  # wall time of the ILS rounds (data only)
 
 
-def local_search(state: QcutState, *, max_steps: int = 10_000) -> QcutState:
+def local_search(state: QcutState) -> QcutState:
     """Algorithm 2: steepest descent over single-scope moves until a local
     minimum; every visited state satisfies the δ-balance predicate."""
-    for _ in range(max_steps):
+    for _ in range(_MAX_DESCENT_STEPS):
         best_delta = 0.0
         best_move: tuple[int, int, int] | None = None
         for c in range(state.n_clusters):
@@ -103,7 +100,7 @@ def rebalance(state: QcutState, rng: np.random.Generator, *, max_moves: int = 20
     return state
 
 
-def perturb(state: QcutState, rng: np.random.Generator, *, max_rebalance: int = 200) -> QcutState:
+def perturb(state: QcutState, rng: np.random.Generator) -> QcutState:
     """Appendix A.2: fuse a random spread query on its argmax worker, then
     rebalance by random max→min loaded scope moves."""
     s = state.copy()
@@ -115,19 +112,20 @@ def perturb(state: QcutState, rng: np.random.Generator, *, max_rebalance: int = 
     for w in np.flatnonzero(s.ls[c] > 0):
         if int(w) != target:
             s.move(c, int(w), target)
-    return rebalance(s, rng, max_moves=max_rebalance)
+    return rebalance(s, rng)
 
 
 def run_qcut(
     inp: QcutInput,
     *,
     delta: float = 0.25,
-    target_clusters: int | None = None,
-    time_budget: float | None = 0.5,
-    max_rounds: int = 50,
+    max_rounds: int = 40,
     seed: int = 0,
 ) -> QcutResult:
-    """Algorithm 1. ``target_clusters`` defaults to the paper's 4k."""
+    """Algorithm 1: cluster the queries, then iterate perturbation and local
+    search from the current partitioning. The ILS stops after
+    ``max_rounds`` perturbations, or earlier at cost 0; its wall time is
+    recorded in ``ils_s``."""
     k = len(inp.vcounts)
     if inp.ls.shape != (len(inp.qids), k):
         raise ValueError("ls shape must be (n_queries, k)")
@@ -139,14 +137,14 @@ def run_qcut(
     # preserving the per-query spread information in the cluster-level cost
     # — while over-heavy hotspots stay divided into movable chunks that the
     # δ-balance constraint can split across workers (the Berlin tradeoff,
-    # Fig. 6e/6f). The resulting cluster count is far below the paper's
-    # 4k cap for these workloads; ``target_clusters`` can force a coarser
-    # stop for stress tests.
+    # Fig. 6e/6f). Only the mass cap stops the contraction (target 1): the
+    # resulting cluster count is far below the paper's 4k cap for these
+    # workloads.
     masses = {q: float(inp.ls[i].sum()) for i, q in enumerate(inp.qids)}
     clusters = karger_cluster(
         list(inp.qids),
         inp.overlaps,
-        target=target_clusters or 1,
+        target=1,
         rng=rng,
         masses=masses,
         # a cluster within (1+δ)/k of total mass can still be balanced as a
@@ -167,8 +165,6 @@ def run_qcut(
 
     t0 = time.monotonic()
     for _ in range(max_rounds):
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            break
         if len(best.spread_clusters()) == 0:  # cost 0: nothing left to fuse
             break
         perturbation_steps.append(len(history))
@@ -177,21 +173,16 @@ def run_qcut(
         if s.cost() < best.cost():
             best = s
         history.append(best.cost())
+    ils_s = time.monotonic() - t0
 
-    placement: dict[tuple[int, int], int] = {}
-    cluster_placement: dict[tuple[int, int], int] = {}
-    for ci, qs in enumerate(clusters):
-        for w_init, w_fin in best.origins[ci].items():
-            cluster_placement[(ci, w_init)] = w_fin
-            for q in qs:
-                if inp.ls[qpos[q], w_init] > 0:
-                    placement[(q, w_init)] = w_fin
     return QcutResult(
-        placement=placement,
-        cluster_placement=cluster_placement,
+        cluster_placement={(ci, w_init): w_fin
+                           for ci in range(len(clusters))
+                           for w_init, w_fin in best.origins[ci].items()},
         cost_initial=cost_initial,
         cost_final=best.cost(),
         history=history,
         perturbation_steps=perturbation_steps,
         clusters=clusters,
+        ils_s=ils_s,
     )

@@ -44,11 +44,7 @@ _SHARD_STATE_BYTES = 64 << 20  # per task
 
 def _shard_task(net: RoadNetwork, queries: list[Query], n_shards: int, max_iters: int):
     """The ``mapInPandas`` function: shard ``s`` runs queries ``s, s +
-    n_shards, ...`` over the CSR (indptr, dst, w) of ``net``."""
-    e = net.edges.sort_values(["src", "dst"], kind="stable")
-    indptr = np.zeros(net.n_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(e["src"], minlength=net.n_vertices), out=indptr[1:])
-    csr = (indptr, e["dst"].to_numpy(np.int64), e["w"].to_numpy(np.float64))
+    n_shards, ...`` over the CSR of ``net``."""
     qids = np.array([q.qid for q in queries], dtype=np.int64)
     starts = np.array([q.start for q in queries], dtype=np.int64)
     targets = targets_for(queries, net)
@@ -57,7 +53,7 @@ def _shard_task(net: RoadNetwork, queries: list[Query], n_shards: int, max_iters
     shards = [(qids[s::n_shards], starts[s::n_shards],
                tq[tq % n_shards == s] // n_shards, tv[tq % n_shards == s])
               for s in range(n_shards)]
-    return kernel.shard_task(csr, shards, max_iters)
+    return kernel.shard_task(net.csr, shards, max_iters)
 
 
 def run_queries(

@@ -22,6 +22,7 @@ DataFrames are produced by :mod:`repro.roadnet.datasets`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -55,6 +56,19 @@ class RoadNetwork:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Out-adjacency as CSR ``(indptr, dst, w)``, edges sorted by
+        (src, dst): the out-edges of ``v`` are ``indptr[v]:indptr[v + 1]``.
+        Every caller shares the arrays, so they are read-only."""
+        e = self.edges.sort_values(["src", "dst"], kind="stable")
+        indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(e["src"], minlength=self.n_vertices), out=indptr[1:])
+        csr = (indptr, e["dst"].to_numpy(np.int64), e["w"].to_numpy(np.float64))
+        for a in csr:
+            a.setflags(write=False)
+        return csr
 
     def adjacency(self) -> dict[int, list[tuple[int, float]]]:
         """Out-adjacency ``{src: [(dst, w), ...]}`` for reference Dijkstra."""

@@ -1,4 +1,4 @@
-"""Vertex→worker assignment (paper's A function, Table 2 move requests)."""
+"""Vertex→worker assignment (the paper's A function)."""
 import numpy as np
 import pytest
 
@@ -34,24 +34,6 @@ class TestLookup:
     def test_vertex_counts_includes_empty_workers(self):
         a = Assignment(workers=np.zeros(5, dtype=np.int32), k=3)
         np.testing.assert_array_equal(a.vertex_counts(), [5, 0, 0])
-
-
-class TestMove:
-    def test_move_vertices(self):
-        a = _mk(10, 4)
-        b = a.move_vertices([0, 1, 2], 3)
-        assert list(b.worker_of([0, 1, 2])) == [3, 3, 3]
-        # original untouched (immutability)
-        assert list(a.worker_of([0, 1, 2])) == [0, 1, 2]
-
-    def test_move_empty_set(self):
-        a = _mk()
-        b = a.move_vertices([], 1)
-        np.testing.assert_array_equal(a.workers, b.workers)
-
-    def test_move_rejects_bad_worker(self):
-        with pytest.raises(ValueError):
-            _mk().move_vertices([0], 7)
 
 
 class TestConversion:

@@ -249,16 +249,6 @@ class TestReference:
 
 
 class TestSparkJobs:
-    def test_jobs_per_superstep(self, counted_run):
-        """Three jobs per superstep (frontier collect, frontier broadcast,
-        state map stage) and three to finish (the empty frontier, the final
-        state, the message trace). Under the session's broadcast threshold
-        of -1 the join would lose its broadcast without the explicit hint
-        and shuffle both sides: two map stages in place of one broadcast."""
-        again, jobs = counted_run
-        supersteps = int(again.activations["iter"].max()) + 1
-        assert jobs <= 3 * supersteps + 3
-
     def test_jobs_per_trace(self, counted_run):
         """One job runs every shard and collects the trace, however many
         supersteps the queries take."""

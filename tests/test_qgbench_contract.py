@@ -1,0 +1,57 @@
+"""The program hooks the benchmark in ``qgbench/`` relies on.
+
+``qgbench/spans.py`` replaces program functions at fixed attributes, and
+``qgbench/workloads.py`` calls the program with fixed signatures. Neither
+runs in tier-1 otherwise, so a deleted or renamed hook would fail only when
+``qgbench/run.py`` runs (with ``--trace 1`` for the spans).
+"""
+import ast
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro.controller.simulator as simulator
+import repro.engine.pregel as pregel
+import repro.experiments as experiments
+
+QGBENCH = Path(__file__).resolve().parents[1] / "qgbench"
+
+# the program functions workloads.py calls, by the attribute it calls
+CALLED = {
+    "run_queries": pregel.run_queries,
+    "trace_for": experiments.trace_for,
+    "run_experiment": simulator.run_experiment,
+    "ExperimentConfig": simulator.ExperimentConfig,
+}
+
+
+@pytest.fixture(scope="module")
+def spans():
+    """``qgbench/spans.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("qgbench_spans", QGBENCH / "spans.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up here
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_span_targets_are_attributes(spans):
+    for owner, attr, name, _ in spans.TARGETS:
+        assert attr in owner.__dict__, f"{name}: {owner.__name__}.{attr} is gone"
+
+
+@pytest.mark.parametrize("attr", sorted(CALLED))
+def test_workload_calls_bind(attr):
+    """Every ``<module>.attr(...)`` call in workloads.py binds to the
+    program's signature: the same number of positional arguments and the
+    same keyword names."""
+    tree = ast.parse((QGBENCH / "workloads.py").read_text())
+    calls = [c for c in ast.walk(tree) if isinstance(c, ast.Call)
+             and isinstance(c.func, ast.Attribute) and c.func.attr == attr]
+    assert calls, f"workloads.py no longer calls {attr}"
+    sig = inspect.signature(CALLED[attr])
+    for c in calls:
+        sig.bind(*[None] * len(c.args), **dict.fromkeys(k.arg for k in c.keywords))

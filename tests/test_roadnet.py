@@ -167,3 +167,15 @@ class TestAdjacency:
 
     def test_adjacency_cached(self, net):
         assert net.adjacency() is net.adjacency()
+
+    def test_csr_matches_adjacency(self, net):
+        indptr, dst, w = net.csr
+        adj = net.adjacency()
+        assert indptr[-1] == net.n_edges
+        for v in range(net.n_vertices):
+            row = slice(indptr[v], indptr[v + 1])
+            assert sorted(zip(dst[row].tolist(), w[row].tolist())) == sorted(adj[v])
+
+    def test_csr_cached_and_read_only(self, net):
+        assert net.csr is net.csr
+        assert not any(a.flags.writeable for a in net.csr)

@@ -11,9 +11,11 @@ from repro.controller.simulator import (
     initial_assignment,
     run_experiment,
 )
+from repro.controller.stats import TraceStats
 from repro.engine import run_queries
 from repro.queries.workload import hotspot_queries
 from repro.roadnet.datasets import edges_df, tiny_grid
+from repro.sync.barriers import simulate_batch
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +76,6 @@ class TestStatic:
 class TestAdaptive:
     def test_adaptive_repartitions_from_hash(self, spark, net, workload, trace):
         cfg = ExperimentConfig(k=4, initial="hash", adaptive=True,
-                               ils_time_budget=None, ils_max_rounds=8,
                                adaptivity=_adapt())
         r = run_experiment(spark, net, workload, trace, cfg)
         assert r.per_batch["repartitioned"].any()
@@ -83,7 +84,6 @@ class TestAdaptive:
 
     def test_adaptive_improves_locality(self, spark, net, workload, trace):
         cfg = ExperimentConfig(k=4, initial="hash", adaptive=True,
-                               ils_time_budget=None, ils_max_rounds=8,
                                adaptivity=_adapt())
         r = run_experiment(spark, net, workload, trace, cfg)
         pb = r.per_batch
@@ -91,7 +91,6 @@ class TestAdaptive:
 
     def test_assignment_actually_changes(self, spark, net, workload, trace):
         cfg = ExperimentConfig(k=4, initial="hash", adaptive=True,
-                               ils_time_budget=None, ils_max_rounds=8,
                                adaptivity=_adapt())
         r = run_experiment(spark, net, workload, trace, cfg)
         init = initial_assignment(net, 4, "hash")
@@ -99,31 +98,55 @@ class TestAdaptive:
 
     def test_deterministic(self, spark, net, workload, trace):
         cfg = ExperimentConfig(k=4, initial="hash", adaptive=True,
-                               ils_time_budget=None, ils_max_rounds=8,
                                adaptivity=_adapt(), seed=3)
         a = run_experiment(spark, net, workload, trace, cfg)
         b = run_experiment(spark, net, workload, trace, cfg)
         pd.testing.assert_frame_equal(a.per_batch, b.per_batch)
 
 
+    def test_batch_after_move_priced_under_new_assignment(self, spark, net, workload, trace):
+        """A batch after a repartition runs on the moved assignment: the
+        last batch's latencies are those of its reports priced under the
+        final assignment."""
+        cfg = ExperimentConfig(k=4, initial="hash", adaptive=True,
+                               adaptivity=_adapt(cooldown_batches=1))
+        r = run_experiment(spark, net, workload, trace, cfg)
+        pb = r.per_batch
+        assert pb["moved_vertices"].iloc[:-1].sum() > 0
+        assert not pb["repartitioned"].iloc[-1]
+        last = [q.qid for q in workload if q.batch == pb["batch"].iloc[-1]]
+        stats = TraceStats(trace)
+        want = simulate_batch(stats.active_counts(r.final_assignment, last),
+                              stats.message_counts(r.final_assignment, last),
+                              k=4, cost=cfg.cost, mode=cfg.barrier)
+        got = r.per_query.set_index("qid").loc[want.latencies.index, "latency"]
+        np.testing.assert_array_equal(got.to_numpy(), want.latencies.to_numpy())
+
+
 class TestExclusivePartition:
     def test_vertices_assigned_to_single_cluster(self):
-        acts = pd.DataFrame({
-            "qid": [1, 1, 2, 2, 2, 3],
-            "iter": [0, 1, 0, 0, 1, 0],
-            "vid": [10, 11, 10, 10, 12, 13],
+        scope = pd.DataFrame({
+            "qid": [1, 1, 2, 2, 3],
+            "vid": [10, 11, 10, 12, 13],
+            "n_active": [1, 1, 2, 1, 1],
         })
         clusters = [[1], [2], [3]]
-        vc = _exclusive_cluster_of(acts, clusters)
+        vc = _exclusive_cluster_of(scope, clusters)
         assert not vc["vid"].duplicated().any()
         got = dict(zip(vc["vid"], vc["cluster"]))
         # vid 10: q2 activated it twice vs q1 once -> cluster 1 (of q2)
         assert got[10] == 1
         assert got[11] == 0 and got[12] == 1 and got[13] == 2
 
+    def test_counts_summed_per_cluster(self):
+        # cluster 0 = {q1, q2} activated vid 5 twice in all, q3 once
+        scope = pd.DataFrame({"qid": [1, 2, 3], "vid": [5, 5, 5], "n_active": [1, 1, 1]})
+        vc = _exclusive_cluster_of(scope, [[3], [1, 2]])
+        assert dict(zip(vc["vid"], vc["cluster"]))[5] == 1
+
     def test_tie_breaks_to_lowest_cluster(self):
-        acts = pd.DataFrame({"qid": [1, 2], "iter": [0, 0], "vid": [5, 5]})
-        vc = _exclusive_cluster_of(acts, [[1], [2]])
+        scope = pd.DataFrame({"qid": [1, 2], "vid": [5, 5], "n_active": [1, 1]})
+        vc = _exclusive_cluster_of(scope, [[1], [2]])
         assert dict(zip(vc["vid"], vc["cluster"]))[5] == 0
 
 

@@ -49,13 +49,14 @@ def qids(trace):
     return sorted(int(q) for q in trace.activations["qid"].unique())
 
 
-def _restriction_sql(qids, iter_lt) -> str:
-    """SQL predicate on ``a`` for ``scope_vertices(qids, iter_lt)``."""
+def _restriction_sql(qids, iter_lt=None, table="a") -> str:
+    """SQL predicate on ``table`` for a report's ``qids`` (and, for
+    ``scope_vertices``, ``iter_lt``) restriction."""
     conds = ["TRUE"]
     if qids is not None:
-        conds.append(f"a.qid IN ({','.join(str(q) for q in qids)})")
+        conds.append(f"{table}.qid IN ({','.join(str(q) for q in qids)})")
     for q, bound in (iter_lt or {}).items():
-        conds.append(f"(a.qid <> {q} OR a.iter < {bound})")
+        conds.append(f"({table}.qid <> {q} OR {table}.iter < {bound})")
     return " AND ".join(conds)
 
 
@@ -66,13 +67,13 @@ def _ls_rows(inp) -> pd.DataFrame:
 
 class TestOracle:
     def test_active_counts(self, stats, trace, assignment, qids):
-        for min_qid in (None, qids[len(qids) // 2]):
+        for sel in (None, qids[::3], qids[-2:]):
             assert_equivalent(
-                stats.active_counts(assignment, min_qid),
+                stats.active_counts(assignment, sel),
                 f"""
                 SELECT a.qid, a.iter, s.worker, count(*) AS n_active
                 FROM activations a JOIN assign s USING (vid)
-                WHERE a.qid >= {min_qid or 0}
+                WHERE {_restriction_sql(sel)}
                 GROUP BY a.qid, a.iter, s.worker
                 """,
                 activations=trace.activations,
@@ -80,16 +81,16 @@ class TestOracle:
             )
 
     def test_message_counts(self, stats, trace, assignment, qids):
-        for min_qid in (None, qids[len(qids) // 2]):
+        for sel in (None, qids[::3], qids[-2:]):
             assert_equivalent(
-                stats.message_counts(assignment, min_qid),
+                stats.message_counts(assignment, sel),
                 f"""
                 SELECT m.qid, m.iter, s1.worker AS w_src, s2.worker AS w_dst,
                        count(*) AS n_msgs
                 FROM messages m
                 JOIN assign s1 ON m.src = s1.vid
                 JOIN assign s2 ON m.dst = s2.vid
-                WHERE m.qid >= {min_qid or 0}
+                WHERE {_restriction_sql(sel, table="m")}
                 GROUP BY m.qid, m.iter, s1.worker, s2.worker
                 """,
                 messages=trace.messages,
@@ -106,8 +107,8 @@ class TestOracle:
         for sel, iter_lt in ((None, None), (qids[:3], {qids[0]: 2}), (None, {qids[1]: 3})):
             assert_equivalent(
                 stats.scope_vertices(sel, iter_lt),
-                f"SELECT DISTINCT qid, vid FROM activations a "
-                f"WHERE {_restriction_sql(sel, iter_lt)}",
+                f"SELECT qid, vid, count(*) AS n_active FROM activations a "
+                f"WHERE {_restriction_sql(sel, iter_lt)} GROUP BY qid, vid",
                 activations=trace.activations,
             )
 
