@@ -25,6 +25,7 @@ shipping, charged to every query still running at the switch.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +97,9 @@ def initial_assignment(net: RoadNetwork, k: int, name: str) -> Assignment:
     raise ValueError(f"unknown initial partitioner {name!r}")
 
 
-def _exclusive_cluster_of(scope: pd.DataFrame, clusters: list[list[int]]) -> pd.DataFrame:
+def _exclusive_cluster_of(
+    scope: pd.DataFrame, clusters: list[list[int]]
+) -> tuple[np.ndarray, np.ndarray]:
     """Partition the window's scope vertices into *disjoint* cluster chunks.
 
     Query scopes overlap, so a vertex can belong to several clusters'
@@ -105,14 +108,65 @@ def _exclusive_cluster_of(scope: pd.DataFrame, clusters: list[list[int]]) -> pd.
     cluster whose queries activated it most often (ties: lowest cluster id)
     — chunks are therefore activation-ball shaped, i.e. spatially coherent.
     ``scope`` holds (qid, vid, n_active) rows, as
-    :meth:`TraceStats.scope_vertices` returns them. Returns (vid, cluster)."""
-    q2c = {q: ci for ci, qs in enumerate(clusters) for q in qs}
-    counts = (
-        scope.assign(cluster=scope["qid"].map(q2c))
-        .groupby(["vid", "cluster"])["n_active"].sum().rename("n").reset_index()
-        .sort_values(["vid", "n", "cluster"], ascending=[True, False, True])
-    )
-    return counts.drop_duplicates("vid")[["vid", "cluster"]]
+    :meth:`TraceStats.scope_vertices` returns them; rows of queries in no
+    cluster are ignored. Returns (vids ascending, cluster of each)."""
+    qid = scope["qid"].to_numpy(np.int64)
+    members = [q for qs in clusters for q in qs]
+    cluster_of = np.full(max(members + [int(qid.max(initial=0))]) + 1, -1)
+    cluster_of[members] = np.repeat(np.arange(len(clusters)), [len(qs) for qs in clusters])
+    cl = cluster_of[qid]
+    hit = cl >= 0
+    vid, cl = scope["vid"].to_numpy(np.int64)[hit], cl[hit]
+    # activations per (vid, cluster), then the most-activating cluster per vid
+    keys, inv = np.unique(vid * len(clusters) + cl, return_inverse=True)
+    n = np.bincount(inv, weights=scope["n_active"].to_numpy()[hit], minlength=len(keys))
+    vid, cl = np.divmod(keys, len(clusters))
+    order = np.lexsort((cl, -n, vid))
+    vid, cl = vid[order], cl[order]
+    first = np.ones(len(vid), dtype=bool)
+    first[1:] = vid[1:] != vid[:-1]
+    return vid[first], cl[first]
+
+
+def _residual_sweeps(workers: np.ndarray, free: np.ndarray, net: RoadNetwork, k: int) -> None:
+    """Relabel, in place, each ``free`` vertex to the majority worker of its
+    graph neighbours if that worker holds strictly more of them than its
+    own; Gauss–Seidel sweeps in vid order, at most ``_RESIDUAL_SWEEPS``,
+    stopping after a sweep that changes nothing.
+
+    A vertex is examined only if its neighbour counts may have changed since
+    it was last found stable: every free vertex is checked once up front,
+    and after that only the neighbours of a relabelled vertex — later in
+    vid order in the same sweep, earlier ones (or itself) in the next.
+    Skipping any other vertex is exact, because its counts are unchanged.
+    The edges hold both directions of every road, so a vertex's
+    out-neighbours are the vertices whose counts it enters."""
+    indptr, dst, _ = net.csr
+    src = np.repeat(np.arange(len(workers)), np.diff(indptr))
+    counts = np.bincount(src * k + workers[dst], minlength=len(workers) * k).reshape(-1, k)
+    unstable = counts.max(axis=1) > counts[np.arange(len(workers)), workers]
+    todo = np.flatnonzero(free & unstable).tolist()
+    for _ in range(_RESIDUAL_SWEEPS):
+        if not todo:
+            break
+        queued = set(todo)
+        nxt: set[int] = set()
+        heapq.heapify(todo)
+        while todo:
+            v = heapq.heappop(todo)
+            nb = dst[indptr[v]:indptr[v + 1]]
+            c = np.bincount(workers[nb], minlength=k)
+            best = int(np.argmax(c))
+            if c[best] <= c[workers[v]]:
+                continue
+            workers[v] = best
+            for u in nb[free[nb]].tolist():
+                if u <= v:
+                    nxt.add(u)
+                elif u not in queued:
+                    queued.add(u)
+                    heapq.heappush(todo, u)
+        todo = sorted(nxt)
 
 
 def _apply_qcut_moves(
@@ -124,41 +178,24 @@ def _apply_qcut_moves(
 
     After the chunk moves, vertices *not* covered by any window scope are
     re-labelled, in vid order, to the majority worker of their graph
-    neighbours for a few sweeps. A move request ships a coherent graph
-    region, not a ragged vertex set: the observed scope is the region's
-    core, and the enclosed unobserved remainder follows it — otherwise every
-    region would be torn between its new core worker and the stale residue
-    worker, splitting all future queries there (a scale artifact of the lite
-    graphs, where one query ball covers a large fraction of its region;
-    documented in DESIGN.md §2)."""
-    vc = _exclusive_cluster_of(scope, result.clusters)
-    scope_vids = vc["vid"].to_numpy()
-    cur = assignment.worker_of(scope_vids)
+    neighbours for a few sweeps (:func:`_residual_sweeps`). A move request
+    ships a coherent graph region, not a ragged vertex set: the observed
+    scope is the region's core, and the enclosed unobserved remainder
+    follows it — otherwise every region would be torn between its new core
+    worker and the stale residue worker, splitting all future queries there
+    (a scale artifact of the lite graphs, where one query ball covers a
+    large fraction of its region; documented in DESIGN.md §2)."""
+    scope_vids, cluster = _exclusive_cluster_of(scope, result.clusters)
+    # dest[c, w]: where cluster c's scope first seen on worker w goes
+    dest = np.tile(np.arange(assignment.k), (len(result.clusters), 1))
+    for (c, w), w_to in result.cluster_placement.items():
+        dest[c, w] = w_to
     new_workers = assignment.workers.copy()
-    dest = np.array(
-        [
-            result.cluster_placement.get((int(c), int(w)), int(w))
-            for c, w in zip(vc["cluster"].to_numpy(), cur)
-        ],
-        dtype=new_workers.dtype,
-    )
-    new_workers[scope_vids] = dest
+    new_workers[scope_vids] = dest[cluster, assignment.worker_of(scope_vids)]
 
-    in_scope = np.zeros(len(new_workers), dtype=bool)
-    in_scope[scope_vids] = True
-    indptr, dst, _ = net.csr
-    for _ in range(_RESIDUAL_SWEEPS):
-        changed = False
-        for v in np.flatnonzero(~in_scope):
-            counts = np.bincount(new_workers[dst[indptr[v]:indptr[v + 1]]],
-                                 minlength=assignment.k)
-            best = int(np.argmax(counts))
-            if counts[best] > counts[new_workers[v]]:
-                new_workers[v] = best
-                changed = True
-        if not changed:
-            break
-
+    free = np.ones(len(new_workers), dtype=bool)
+    free[scope_vids] = False
+    _residual_sweeps(new_workers, free, net, assignment.k)
     moved = int((new_workers != assignment.workers).sum())
     return Assignment(workers=new_workers, k=assignment.k), moved
 

@@ -11,6 +11,13 @@ global-scope intersection size (the controller's aggregated I_w statistics)
 weight and merging its endpoints, until at most ``target`` clusters remain
 or no overlapping pair is left. Queries that never overlap stay singletons
 (moving them jointly would be uninformed).
+
+Cost: the edges keep one weight array. Each draw is one vectorised pass
+over it (the cdf ``Generator.choice`` searches), and so is each merge (a
+component-label compare that zeroes the edges it made internal). A run
+makes at most n − 1 merging draws plus one draw per edge refused at the
+mass cap, so it is not the linear time of [16]; it is array work over at
+most n(n − 1)/2 edges for a controller window of n queries.
 """
 from __future__ import annotations
 
@@ -37,40 +44,33 @@ def karger_cluster(
     """
     if target < 1:
         raise ValueError("target must be >= 1")
-    parent = {q: q for q in qids}
-    mass = {q: float((masses or {}).get(q, 0.0)) for q in qids}
-
-    def find(q: int) -> int:
-        while parent[q] != q:
-            parent[q] = parent[parent[q]]
-            q = parent[q]
-        return q
-
-    edges = [
-        (a, b, float(w))
-        for (a, b), w in sorted(overlaps.items())
-        if a in parent and b in parent and a != b and w > 0
-    ]
+    pos = {q: i for i, q in enumerate(qids)}
+    mass = [float((masses or {}).get(q, 0.0)) for q in qids]
+    # comp[i]: the component of qids[i], labelled by the position of its
+    # root query (the root stays the first-drawn endpoint's, as in union-find)
+    comp = np.arange(len(qids))
+    pairs = [(pos[a], pos[b], float(w)) for (a, b), w in sorted(overlaps.items())
+             if a in pos and b in pos and a != b and w > 0]
+    ea = np.array([a for a, _, _ in pairs], dtype=np.int64)
+    eb = np.array([b for _, b, _ in pairs], dtype=np.int64)
+    # Edges that can no longer fire keep their slot with weight 0, so a draw
+    # over all slots picks the edge a draw over the live edges alone would:
+    # the weights are integer counts, their sums are exact, and a zero adds
+    # nothing to the cdf that Generator.choice searches.
+    w = np.array([x for _, _, x in pairs], dtype=float)
     n_comp = len(qids)
-    while n_comp > target and edges:
-        weights = np.array([w for _, _, w in edges])
-        idx = int(rng.choice(len(edges), p=weights / weights.sum()))
-        a, b, _ = edges[idx]
-        ra, rb = find(a), find(b)
-        if ra != rb and (
-            max_mass is None or mass[ra] + mass[rb] <= max_mass
-        ):
-            parent[rb] = ra
+    while n_comp > target and w.any():
+        idx = int(rng.choice(len(w), p=w / w.sum()))
+        ra, rb = comp[ea[idx]], comp[eb[idx]]
+        if max_mass is None or mass[ra] + mass[rb] <= max_mass:
+            comp[comp == rb] = ra
             mass[ra] += mass[rb]
             n_comp -= 1
-            # drop now-internal edges lazily
-            edges = [(x, y, w) for x, y, w in edges if find(x) != find(y)]
+            w[comp[ea] == comp[eb]] = 0.0  # edges now inside one cluster
         else:
-            # contraction refused (same component or over the mass cap):
-            # this edge can never fire again, remove it
-            edges.pop(idx)
+            w[idx] = 0.0  # over the mass cap: this edge can never fire again
 
     clusters: dict[int, list[int]] = {}
-    for q in qids:
-        clusters.setdefault(find(q), []).append(q)
+    for q, r in zip(qids, comp.tolist()):
+        clusters.setdefault(qids[r], []).append(q)
     return [sorted(v) for _, v in sorted(clusters.items())]

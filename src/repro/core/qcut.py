@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.clustering import karger_cluster
-from repro.core.state import QcutState
+from repro.core.state import QcutState, balanced
 
 # Safety cap on one descent; each step lowers the cost, so a descent ends
 # at a local minimum long before it.
@@ -50,69 +50,84 @@ class QcutResult:
     perturbation_steps: list[int] # indices into history where we perturbed
     clusters: list[list[int]]
     ils_s: float                  # wall time of the ILS rounds (data only)
+    rebalance_capped: int         # rebalance calls left unbalanced at the move cap (data only)
 
 
 def local_search(state: QcutState) -> QcutState:
     """Algorithm 2: steepest descent over single-scope moves until a local
-    minimum; every visited state satisfies the δ-balance predicate."""
+    minimum; every step is a move the δ-balance predicate allows.
+
+    Each step prices every (c, w, w2) move of a spread cluster at once and
+    applies the first minimum in (c, w, w2) order. |LS| entries are integer
+    counts, so the deltas are integers and that first minimum is the move
+    a scalar scan with a strict ``<`` would pick."""
+    if state.ls.size == 0:
+        return state
     for _ in range(_MAX_DESCENT_STEPS):
-        best_delta = 0.0
-        best_move: tuple[int, int, int] | None = None
-        for c in range(state.n_clusters):
-            nz = np.flatnonzero(state.ls[c] > 0)
-            if len(nz) < 2:  # fully local cluster: any move only adds cost
-                continue
-            for w in nz:
-                for w2 in range(state.k):
-                    if w2 == int(w) or not state.move_allowed(c, int(w), w2):
-                        continue
-                    d = state.move_delta(c, int(w), w2)
-                    if d < best_delta - 1e-12:
-                        best_delta = d
-                        best_move = (c, int(w), w2)
-        if best_move is None:
+        spread = (state.ls > 0).sum(axis=1) >= 2  # a local cluster only adds cost
+        ok = state.moves_allowed() & spread[:, None, None]
+        d = np.where(ok, state.move_deltas(), 0.0)
+        best = int(np.argmin(d))
+        if d.flat[best] >= -1e-12:
             break
-        state.move(*best_move)
+        state.move(*(int(i) for i in np.unravel_index(best, d.shape)))
     return state
 
 
-def rebalance(state: QcutState, rng: np.random.Generator, *, max_moves: int = 200) -> QcutState:
+def rebalance(state: QcutState, rng: np.random.Generator, *, max_moves: int = 200) -> bool:
     """Appendix A.2 step III (in place): random scope moves from the
     maximally to the least loaded worker until the all-pairs δ-balance of
-    Appendix A.1 is established (or no movable scope remains).
+    Appendix A.1 is established, no movable scope remains, or ``max_moves``
+    moves are made. Returns True if it made ``max_moves`` moves and the
+    state is still unbalanced.
 
     Also used on the *initial* solution: the paper restricts the solution
     space to balanced states ("all solution states have balanced
     workload"), so an unbalanced current partitioning — e.g. Domain with a
-    hot hotspot worker — is first brought into the valid space. This is
+    hot hotspot worker — is first moved toward the valid space. This is
     what lets Q-cut trade a little locality for balance on top of Domain
     (paper §4.2, Fig. 6e discussion).
     """
+    # the loop runs on Python floats (the same IEEE operations as
+    # QcutState.move); the moves are then applied to the state in order
+    ls = state.ls.T.tolist()  # ls[w][c]
+    L = state.L.tolist()
+    moves: list[tuple[int, int, int]] = []
     for _ in range(max_moves):
-        if state.is_balanced():
+        lo, hi = min(L), max(L)
+        if balanced(lo, hi, state.delta):
             break
-        w_max = int(np.argmax(state.L))
-        w_min = int(np.argmin(state.L))
-        candidates = np.flatnonzero(state.ls[:, w_max] > 0)
-        if len(candidates) == 0 or w_max == w_min:
+        w_max, w_min = L.index(hi), L.index(lo)
+        candidates = [c for c, x in enumerate(ls[w_max]) if x > 0]
+        if not candidates or w_max == w_min:
             break
-        state.move(int(rng.choice(candidates)), w_max, w_min)
-    return state
+        c = candidates[rng.integers(len(candidates))]  # == rng.choice(candidates)
+        x = ls[w_max][c]
+        ls[w_max][c] = 0.0
+        ls[w_min][c] += x
+        L[w_max] -= x
+        L[w_min] += x
+        moves.append((c, w_max, w_min))
+    for m in moves:
+        state.move(*m)
+    return len(moves) == max_moves and not state.is_balanced()
 
 
-def perturb(state: QcutState, rng: np.random.Generator) -> QcutState:
+def perturb(state: QcutState, rng: np.random.Generator) -> tuple[QcutState, bool]:
     """Appendix A.2: fuse a random spread query on its argmax worker, then
-    rebalance by random max→min loaded scope moves."""
+    rebalance by random max→min loaded scope moves. Returns the new state
+    and whether its rebalance stopped on the move cap (see
+    :func:`rebalance`)."""
     s = state.copy()
     spread = s.spread_clusters()
     if len(spread) == 0:
-        return s
+        return s, False
     c = int(rng.choice(spread))
     target = int(np.argmax(s.ls[c]))
     for w in np.flatnonzero(s.ls[c] > 0):
         if int(w) != target:
             s.move(c, int(w), target)
-    return rebalance(s, rng)
+    return s, rebalance(s, rng)
 
 
 def run_qcut(
@@ -158,7 +173,7 @@ def run_qcut(
 
     best = QcutState(ls_c, np.asarray(inp.vcounts, dtype=float), delta)
     cost_initial = best.cost()
-    best = rebalance(best, rng)  # enter the balanced solution space (A.1)
+    capped = int(rebalance(best, rng))  # toward the balanced solution space (A.1)
     best = local_search(best)
     history = [best.cost()]
     perturbation_steps: list[int] = []
@@ -168,7 +183,8 @@ def run_qcut(
         if len(best.spread_clusters()) == 0:  # cost 0: nothing left to fuse
             break
         perturbation_steps.append(len(history))
-        s = perturb(best, rng)
+        s, s_capped = perturb(best, rng)
+        capped += s_capped
         s = local_search(s)
         if s.cost() < best.cost():
             best = s
@@ -185,4 +201,5 @@ def run_qcut(
         perturbation_steps=perturbation_steps,
         clusters=clusters,
         ils_s=ils_s,
+        rebalance_capped=capped,
     )

@@ -17,6 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def balanced(lo: float, hi: float, delta: float) -> bool:
+    """All-pairs δ-balance of Appendix A.1, from the lowest and the highest
+    worker load."""
+    return hi <= 0 or (hi - lo) / hi < delta
+
+
 class QcutState:
     """Mutable ILS solution state; copy() before speculative edits."""
 
@@ -59,36 +65,40 @@ class QcutState:
             return 0.0
         return float((self.ls.sum(axis=1) - self.ls.max(axis=1)).sum())
 
-    def move_delta(self, c: int, w: int, w2: int) -> float:
-        """Cost change if scope (c, w) moved to w2 — O(k), no state copy."""
-        row = self.ls[c]
-        x = row[w]
-        old_mx = row.max()
-        new_row = row.copy()
-        new_row[w] = 0.0
-        new_row[w2] += x
-        return float(old_mx - new_row.max())
+    def move_deltas(self) -> np.ndarray:
+        """Cost change ``d[c, w, w2]`` of moving scope (c, w) to w2, for
+        every (c, w, w2) at once.
+
+        After the move, row c's maximum is ``max(row[w2] + x, max_{j≠w}
+        row[j])``; the maximum excluding w is the row's top value, or its
+        second value where w holds the (first) top one."""
+        ls = self.ls
+        top = ls.argmax(axis=1)
+        rows = np.arange(len(ls))
+        top1 = ls[rows, top]
+        rest = ls.copy()
+        rest[rows, top] = -np.inf
+        excl = np.where(np.arange(self.k) == top[:, None],
+                        rest.max(axis=1)[:, None], top1[:, None])
+        new_mx = np.maximum(ls[:, None, :] + ls[:, :, None], excl[:, :, None])
+        return top1[:, None, None] - new_mx
 
     # ---- balance (Alg. 2 line 15 / Appendix A.1) ---------------------------
-    def move_allowed(self, c: int, w: int, w2: int) -> bool:
-        """δ-balance predicate for moving scope (c, w) to w2."""
-        if w == w2:
-            return False
-        x = self.ls[c, w]
-        if x <= 0:
-            return False
-        lw, lw2 = self.L[w] - x, self.L[w2] + x
-        m = max(lw, lw2)
-        if m <= 0:
-            return True
-        return abs(lw - lw2) / m < self.delta
+    def moves_allowed(self) -> np.ndarray:
+        """δ-balance predicate ``ok[c, w, w2]`` for moving scope (c, w) to
+        w2: |(L_w − x) − (L_w2 + x)| / max(·) < δ, or max(·) ≤ 0. Empty
+        scopes and w = w2 are never allowed."""
+        x = self.ls[:, :, None]
+        lw = self.L[None, :, None] - x
+        lw2 = self.L[None, None, :] + x
+        m = np.maximum(lw, lw2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = (m <= 0) | (np.abs(lw - lw2) / m < self.delta)
+        return ok & (x > 0) & ~np.eye(self.k, dtype=bool)
 
     def is_balanced(self) -> bool:
         """All-pairs balance predicate of Appendix A.1."""
-        lo, hi = self.L.min(), self.L.max()
-        if hi <= 0:
-            return True
-        return (hi - lo) / hi < self.delta
+        return balanced(self.L.min(), self.L.max(), self.delta)
 
     # ---- mutation ----------------------------------------------------------
     def move(self, c: int, w: int, w2: int) -> None:

@@ -55,30 +55,45 @@ class TestRebalance:
     def test_enters_balanced_space(self):
         s = _state([[40, 0], [40, 0], [40, 0], [40, 0]], vcounts=[0, 0], delta=0.3)
         assert not s.is_balanced()
-        out = rebalance(s, np.random.default_rng(0))
-        assert out.is_balanced()
+        assert not rebalance(s, np.random.default_rng(0))
+        assert s.is_balanced()
 
     def test_noop_when_already_balanced(self):
         s = _state([[5, 5]], vcounts=[50, 50], delta=0.5)
         ls_before = s.ls.copy()
-        rebalance(s, np.random.default_rng(0))
+        assert not rebalance(s, np.random.default_rng(0))
         np.testing.assert_allclose(s.ls, ls_before)
 
     def test_terminates_when_impossible(self):
-        # one atomic scope cannot be balanced — must not loop forever
+        # one atomic scope cannot be balanced: it ping-pongs until the cap
         s = _state([[100, 0]], vcounts=[0, 0], delta=0.1)
-        rebalance(s, np.random.default_rng(0), max_moves=50)
+        moves = []
+
+        def move(*m):
+            moves.append(m)
+            QcutState.move(s, *m)
+
+        s.move = move
+        assert rebalance(s, np.random.default_rng(0), max_moves=50)
+        assert len(moves) == 50
+        assert not s.is_balanced()
+
+    def test_cap_counted_in_result(self):
+        inp = QcutInput(qids=[1], ls=np.array([[100.0, 0.0]]), vcounts=np.zeros(2))
+        assert run_qcut(inp, delta=0.1, seed=0).rebalance_capped == 1
+        inp = QcutInput(qids=[1, 2], ls=np.array([[5.0, 0.0], [0.0, 5.0]]), vcounts=np.zeros(2))
+        assert run_qcut(inp, delta=0.1, seed=0).rebalance_capped == 0
 
 
 class TestPerturb:
     def test_fuses_selected_cluster_scopes(self):
         s = _state([[5, 5, 0]], vcounts=[100, 100, 100], delta=0.9)
-        out = perturb(s, np.random.default_rng(0))
+        out, _ = perturb(s, np.random.default_rng(0))
         assert (out.ls[0] > 0).sum() == 1  # all scopes on one worker
 
     def test_target_is_argmax_worker(self):
         s = _state([[2, 9, 3]], vcounts=[100, 100, 100], delta=0.9)
-        out = perturb(s, np.random.default_rng(0))
+        out, _ = perturb(s, np.random.default_rng(0))
         assert out.ls[0, 1] == 14.0
 
     def test_does_not_mutate_input(self):
@@ -89,8 +104,9 @@ class TestPerturb:
 
     def test_noop_when_everything_local(self):
         s = _state([[5, 0], [0, 5]], vcounts=[10, 10], delta=0.9)
-        out = perturb(s, np.random.default_rng(0))
+        out, capped = perturb(s, np.random.default_rng(0))
         np.testing.assert_allclose(out.ls, s.ls)
+        assert not capped
 
 
 class TestRunQcut:

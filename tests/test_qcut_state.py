@@ -52,21 +52,30 @@ class TestCost:
 class TestMoveDelta:
     @given(
         st.lists(
-            st.lists(st.integers(0, 30), min_size=4, max_size=4),
-            min_size=2, max_size=5,
+            st.lists(st.integers(0, 6), min_size=4, max_size=4),
+            min_size=1, max_size=5,
         ),
-        st.integers(0, 4), st.integers(0, 3), st.integers(0, 3),
     )
     @settings(max_examples=80, deadline=None)
-    def test_delta_matches_recompute(self, ls, c, w, w2):
+    def test_delta_matches_recompute(self, ls):
+        """Every off-diagonal (c, w, w2) entry is that move's cost change
+        (small values: many tied row maxima); an empty scope's move is a
+        no-op and prices 0."""
         s = _state(ls)
-        c, w, w2 = c % s.n_clusters, w % s.k, w2 % s.k
-        if w == w2 or s.ls[c, w] == 0:
-            return
-        predicted = s.move_delta(c, w, w2)
-        before = s.cost()
-        s.move(c, w, w2)
-        assert s.cost() - before == pytest.approx(predicted)
+        d = s.move_deltas()
+        assert d.shape == (s.n_clusters, s.k, s.k)
+        for c, w, w2 in np.ndindex(d.shape):
+            if w == w2:
+                continue
+            t = s.copy()
+            t.move(c, w, w2)
+            assert d[c, w, w2] == t.cost() - s.cost()
+
+    def test_tied_row_maximum(self):
+        # cost 11 - 5: fusing the tied maxima costs 1, moving onto the 1 costs 5
+        d = _state([[5, 5, 1]]).move_deltas()
+        assert d[0, 0, 1] == d[0, 1, 0] == -5
+        assert d[0, 0, 2] == d[0, 2, 0] == -1
 
 
 class TestMove:
@@ -108,19 +117,41 @@ class TestBalance:
     def test_move_allowed_formula(self):
         """|(L_w - x) - (L_w' + x)| / max(...) < delta (Alg. 2 line 15)."""
         s = _state([[10, 0]], vcounts=[10, 10], delta=0.25)
-        # L = [10, 5]; moving 10: L' = (0+10)/... post L_w=0, L_w'=15 → dev 1.0
-        assert not s.move_allowed(0, 0, 1)
+        # L = [10, 5]; moving 10: L_w = 0, L_w' = 15 -> deviation 1.0
+        assert not s.moves_allowed()[0, 0, 1]
 
     def test_move_allowed_passes_small_move(self):
-        s = _state([[2, 0], [0, 2]], vcounts=[10, 10], delta=0.5)
-        assert s.move_allowed(0, 0, 1) or not s.move_allowed(0, 0, 1)  # no crash
+        # L = [6, 6]; moving 2 gives (4, 8): deviation exactly 0.5
+        s = _state([[2, 0], [0, 2]], vcounts=[10, 10], delta=0.6)
+        assert s.moves_allowed()[0, 0, 1]
+        assert not _state([[2, 0], [0, 2]], vcounts=[10, 10], delta=0.5).moves_allowed()[0, 0, 1]
         # symmetric small move keeps deviation below delta
-        assert s.move_allowed(1, 1, 0) == s.move_allowed(0, 0, 1)
+        assert s.moves_allowed()[1, 1, 0]
 
     def test_move_not_allowed_same_worker_or_empty(self):
-        s = _state([[5, 0]])
-        assert not s.move_allowed(0, 0, 0)
-        assert not s.move_allowed(0, 1, 0)
+        ok = _state([[5, 0]]).moves_allowed()
+        assert not ok[0, 0, 0]
+        assert not ok[0, 1, 0]
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 20), min_size=3, max_size=3),
+            min_size=1, max_size=4,
+        ),
+        st.lists(st.integers(0, 30), min_size=3, max_size=3),
+        st.sampled_from([0.1, 0.25, 0.9]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mask_matches_formula(self, ls, vcounts, delta):
+        """Each (c, w, w2) entry of the mask is Alg. 2 line 15 for that move."""
+        s = _state(ls, vcounts, delta)
+        ok = s.moves_allowed()
+        for c, w, w2 in np.ndindex(ok.shape):
+            x = s.ls[c, w]
+            lw, lw2 = s.L[w] - x, s.L[w2] + x
+            m = max(lw, lw2)
+            want = w != w2 and x > 0 and (m <= 0 or abs(lw - lw2) / m < delta)
+            assert ok[c, w, w2] == want
 
     def test_is_balanced_all_pairs(self):
         assert _state([[0, 0]], vcounts=[10, 10]).is_balanced()

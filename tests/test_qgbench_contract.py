@@ -11,9 +11,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.controller.simulator as simulator
+import repro.core.qcut as qcut
 import repro.engine.pregel as pregel
 import repro.experiments as experiments
 
@@ -55,3 +57,23 @@ def test_workload_calls_bind(attr):
     sig = inspect.signature(CALLED[attr])
     for c in calls:
         sig.bind(*[None] * len(c.args), **dict.fromkeys(k.arg for k in c.keywords))
+
+
+def test_qcut_calls_wrapped_attributes(monkeypatch):
+    """``core.local_search`` and ``core.karger`` spans wrap the functions at
+    ``repro.core.qcut``'s attributes, so ``run_qcut`` and ``perturb`` must
+    call them through the module globals, not through a bound alias."""
+    calls = {"local_search": 0, "karger_cluster": 0}
+    for attr in calls:
+        fn = getattr(qcut, attr)
+
+        def counted(*a, _fn=fn, _attr=attr, **kw):
+            calls[_attr] += 1
+            return _fn(*a, **kw)
+
+        monkeypatch.setattr(qcut, attr, counted)
+    # δ = 0.1 forbids the descent from fusing the spread query; a round must
+    inp = qcut.QcutInput(qids=[1], ls=np.array([[5.0, 5.0]]), vcounts=np.zeros(2))
+    res = qcut.run_qcut(inp, delta=0.1, max_rounds=3, seed=0)
+    assert calls["karger_cluster"] == 1
+    assert calls["local_search"] == len(res.history) >= 2  # entry descent + rounds

@@ -131,9 +131,9 @@ class TestExclusivePartition:
             "n_active": [1, 1, 2, 1, 1],
         })
         clusters = [[1], [2], [3]]
-        vc = _exclusive_cluster_of(scope, clusters)
-        assert not vc["vid"].duplicated().any()
-        got = dict(zip(vc["vid"], vc["cluster"]))
+        vid, cluster = _exclusive_cluster_of(scope, clusters)
+        assert len(np.unique(vid)) == len(vid)
+        got = dict(zip(vid.tolist(), cluster.tolist()))
         # vid 10: q2 activated it twice vs q1 once -> cluster 1 (of q2)
         assert got[10] == 1
         assert got[11] == 0 and got[12] == 1 and got[13] == 2
@@ -141,13 +141,13 @@ class TestExclusivePartition:
     def test_counts_summed_per_cluster(self):
         # cluster 0 = {q1, q2} activated vid 5 twice in all, q3 once
         scope = pd.DataFrame({"qid": [1, 2, 3], "vid": [5, 5, 5], "n_active": [1, 1, 1]})
-        vc = _exclusive_cluster_of(scope, [[3], [1, 2]])
-        assert dict(zip(vc["vid"], vc["cluster"]))[5] == 1
+        vid, cluster = _exclusive_cluster_of(scope, [[3], [1, 2]])
+        assert dict(zip(vid.tolist(), cluster.tolist()))[5] == 1
 
     def test_tie_breaks_to_lowest_cluster(self):
         scope = pd.DataFrame({"qid": [1, 2], "vid": [5, 5], "n_active": [1, 1]})
-        vc = _exclusive_cluster_of(scope, [[1], [2]])
-        assert dict(zip(vc["vid"], vc["cluster"]))[5] == 0
+        vid, cluster = _exclusive_cluster_of(scope, [[1], [2]])
+        assert dict(zip(vid.tolist(), cluster.tolist()))[5] == 0
 
 
 class TestInitialAssignment:
