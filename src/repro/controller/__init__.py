@@ -1,6 +1,6 @@
 """Centralized controller: stats aggregation, adaptivity, experiment harness."""
 from repro.controller.stats import TraceStats, qcut_input
-from repro.controller.adaptivity import AdaptivityParams, AdaptiveController
+from repro.controller.adaptivity import AdaptiveController
 from repro.controller.simulator import (
     ExperimentConfig,
     ExperimentResult,
@@ -11,7 +11,6 @@ from repro.controller.simulator import (
 __all__ = [
     "TraceStats",
     "qcut_input",
-    "AdaptivityParams",
     "AdaptiveController",
     "ExperimentConfig",
     "ExperimentResult",

@@ -2,12 +2,12 @@
 
 The controller keeps query statistics for a tumbling monitoring window μ —
 here expressed in *batches* (a batch of 16 parallel queries is the unit of
-arrival), capped at the paper's 128 queries. It triggers repartitioning
-when the window's average query locality drops below Φ = 0.7, or when the
-window's workload imbalance exceeds the allowed δ — the paper's Q-cut
-"always ensures workload balance under dynamic query workload" (§4.2,
-Fig. 6e): balance violations make the current partitioning suboptimal just
-as locality violations do. A cooldown of one batch prevents thrashing.
+arrival). It triggers repartitioning when the window's average query
+locality drops below Φ = 0.7, or when the window's workload imbalance
+reaches 2δ — the paper's Q-cut "always ensures workload balance under
+dynamic query workload" (§4.2, Fig. 6e): balance violations make the
+current partitioning suboptimal just as locality violations do. It never
+repartitions in the batch right after a repartition.
 """
 from __future__ import annotations
 
@@ -16,82 +16,71 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
+from repro.sync.barriers import imbalance
 
-@dataclass
-class AdaptivityParams:
-    phi: float = 0.7              # locality threshold Φ (paper: 0.7)
-    delta: float = 0.25           # allowed imbalance δ (paper: 0.25)
-    imbalance_trigger: float = 0.5  # repartition when window imbalance
-                                  # exceeds this (2δ): δ bounds what the ILS
-                                  # may *produce*; the trigger only fires on
-                                  # imbalance Q-cut could actually repair —
-                                  # hotspot structure puts the achievable
-                                  # floor above δ itself
-    window_batches: int = 6       # monitoring window μ in batches (≤96
-                                  # queries — "a few dozen", capped below)
-    max_window_queries: int = 128 # paper's query cap inside the window
-    cooldown_batches: int = 0     # extra batches between repartitionings
-                                  # (0: at most every other batch)
-    min_window_queries: int = 48  # don't run Q-cut before the window holds
-                                  # "a few dozen queries" (paper §4.1 iii)
+PHI = 0.7                  # locality threshold Φ (paper: 0.7)
+DELTA = 0.25               # allowed imbalance δ of a Q-cut placement (paper: 0.25)
+# δ bounds what the ILS may *produce*; the trigger only fires on imbalance
+# Q-cut could actually repair — hotspot structure puts the achievable floor
+# above δ itself
+IMBALANCE_TRIGGER = 2 * DELTA
+WINDOW_BATCHES = 6         # monitoring window μ in batches (≤ 96 queries)
+MIN_WINDOW_QUERIES = 48    # no Q-cut before the window holds "a few dozen
+                           # queries" (paper §4.1 iii)
+PLAN_WINDOW_QUERIES = 128  # paper's query cap on the window Q-cut plans over
 
 
 @dataclass
 class AdaptiveController:
-    """Collects per-batch observations and decides when to repartition."""
+    """Collects per-batch observations and decides when to repartition.
 
-    params: AdaptivityParams = field(default_factory=AdaptivityParams)
-    _locality: list[pd.DataFrame] = field(default_factory=list)  # per batch
-    _worker_totals: dict[int, "np.ndarray"] = field(default_factory=dict)
+    Each observed batch is kept as numpy arrays, in observation order:
+    its qids, their locality and the per-worker workload totals."""
+
+    _batches: list[int] = field(default_factory=list)
+    _qids: list[np.ndarray] = field(default_factory=list)
+    _locality: list[np.ndarray] = field(default_factory=list)
+    _worker_totals: list[np.ndarray] = field(default_factory=list)
     _last_repartition: int = -10**9
 
     def observe_batch(self, batch: int, locality: pd.Series, worker_totals) -> None:
         """Record the stats piggybacked on this batch's barrier messages:
-        per-query locality and per-worker active-vertex workload totals."""
-        self._locality.append(
-            pd.DataFrame({"batch": batch, "qid": locality.index, "locality": locality.values})
-        )
-        self._worker_totals[batch] = np.asarray(worker_totals, dtype=float)
+        per-query locality (indexed by qid) and per-worker active-vertex
+        workload totals."""
+        self._batches.append(batch)
+        self._qids.append(locality.index.to_numpy(np.int64))
+        self._locality.append(locality.to_numpy(float))
+        self._worker_totals.append(np.asarray(worker_totals, dtype=float))
 
-    def window_qids(self, batch: int) -> list[int]:
+    def _window(self, batch: int) -> np.ndarray:
+        """Positions of the observed batches inside the window ending at ``batch``."""
+        b = np.asarray(self._batches, dtype=np.int64)
+        return np.flatnonzero((b > batch - WINDOW_BATCHES) & (b <= batch))
+
+    def window_qids(self, batch: int) -> np.ndarray:
         """Queries inside the monitoring window ending at ``batch``."""
-        lo = batch - self.params.window_batches + 1
-        rows = pd.concat(self._locality, ignore_index=True) if self._locality else pd.DataFrame(
-            columns=["batch", "qid", "locality"]
-        )
-        w = rows[rows["batch"].between(lo, batch)]
-        qids = w.sort_values("batch", ascending=False)["qid"].tolist()
-        return [int(q) for q in qids[: self.params.max_window_queries]]
+        return np.concatenate([np.empty(0, np.int64)]
+                              + [self._qids[i] for i in self._window(batch)])
 
     def window_locality(self, batch: int) -> float:
-        if not self._locality:
-            return 1.0  # no stats yet: nothing to react to
-        lo = batch - self.params.window_batches + 1
-        rows = pd.concat(self._locality, ignore_index=True)
-        w = rows[rows["batch"].between(lo, batch)]
-        return float(w["locality"].mean()) if len(w) else 1.0
+        loc = np.concatenate([np.empty(0)] + [self._locality[i] for i in self._window(batch)])
+        return float(loc.mean()) if len(loc) else 1.0  # no stats: nothing to react to
 
     def window_imbalance(self, batch: int) -> float:
-        """Relative deviation of per-worker workload summed over the window
-        (the paper's 60 s workload window, Fig. 6e) — summing first removes
-        the sampling noise of a single 16-query batch."""
-        lo = batch - self.params.window_batches + 1
-        mats = [v for b, v in self._worker_totals.items() if lo <= b <= batch]
-        if not mats:
-            return 0.0
-        totals = np.sum(mats, axis=0)
-        if totals.sum() <= 0:
-            return 0.0
-        return float(np.abs(totals - totals.mean()).mean() / totals.mean())
+        """Imbalance of per-worker workload summed over the window (the
+        paper's 60 s workload window, Fig. 6e) — summing first removes the
+        sampling noise of a single 16-query batch."""
+        mats = [self._worker_totals[i] for i in self._window(batch)]
+        return imbalance(np.sum(mats, axis=0)) if mats else 0.0
 
     def should_repartition(self, batch: int) -> bool:
-        if batch - self._last_repartition <= self.params.cooldown_batches:
+        if batch <= self._last_repartition:
             return False
-        if len(self.window_qids(batch)) < self.params.min_window_queries:
+        if len(self.window_qids(batch)) < MIN_WINDOW_QUERIES:
             return False
         return (
-            self.window_locality(batch) < self.params.phi
-            or self.window_imbalance(batch) >= self.params.imbalance_trigger
+            self.window_locality(batch) < PHI
+            or self.window_imbalance(batch) >= IMBALANCE_TRIGGER
         )
 
     def repartitioned(self, batch: int) -> None:

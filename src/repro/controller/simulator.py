@@ -26,7 +26,7 @@ shipping, charged to every query still running at the switch.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -35,7 +35,7 @@ from pyspark.sql import SparkSession
 from repro.cluster.assignment import Assignment
 from repro.cluster.costmodel import M2, CostModel
 from repro.cluster.partitioners import domain_partition, hash_partition, ldg_partition
-from repro.controller.adaptivity import AdaptiveController, AdaptivityParams
+from repro.controller.adaptivity import DELTA, PLAN_WINDOW_QUERIES, AdaptiveController
 from repro.controller.stats import TraceStats, qcut_input
 from repro.core.qcut import QcutResult, run_qcut
 from repro.engine.trace import Trace
@@ -61,7 +61,6 @@ class ExperimentConfig:
     adaptive: bool = False           # apply Q-cut at runtime?
     barrier: BarrierMode = "hybrid"  # hybrid | global (Fig. 6d baseline)
     cost: CostModel = M2
-    adaptivity: AdaptivityParams = field(default_factory=AdaptivityParams)
     seed: int = 0
 
     @property
@@ -203,7 +202,7 @@ def _apply_qcut_moves(
 def _plan(
     stats: TraceStats,
     assignment: Assignment,
-    window: list[int],
+    window: np.ndarray,
     iter_lt: dict[int, int],
     net: RoadNetwork,
     cfg: ExperimentConfig,
@@ -217,7 +216,7 @@ def _plan(
         return None
     # fixed seed: clustering boundaries stay stable across repartitions, so
     # placements accrete instead of reshuffling chunk borders every time
-    qres = run_qcut(inp, delta=cfg.adaptivity.delta, seed=cfg.seed)
+    qres = run_qcut(inp, delta=DELTA, seed=cfg.seed)
     return (qres, *_apply_qcut_moves(assignment, qres, scope, net))
 
 
@@ -240,7 +239,7 @@ def run_experiment(
     reads the trace. ``spark`` is unused: pricing runs no Spark job."""
     assignment = initial_assignment(net, cfg.k, cfg.initial)
     stats = TraceStats(trace)
-    controller = AdaptiveController(params=cfg.adaptivity)
+    controller = AdaptiveController()
     batch_rows = []
     query_rows = []
     qcut_runs: list[QcutResult] = []
@@ -257,9 +256,9 @@ def run_experiment(
                 # batch; its queries have reported iterations < switch_tick
                 t_batch = int(ac["iter"].max()) + 1
                 switch_tick = max(2, int(round(_SWITCH_TICK_FRAC * t_batch)))
-                window = controller.window_qids(batch - 1) + qids
-                plan = _plan(stats, assignment,
-                             window[: cfg.adaptivity.max_window_queries],
+                # the newest queries: the monitor window, then this batch's
+                window = np.concatenate([controller.window_qids(batch - 1), qids])
+                plan = _plan(stats, assignment, window[-PLAN_WINDOW_QUERIES:],
                              dict.fromkeys(qids, switch_tick), net, cfg)
             moved = 0
             if plan is None:

@@ -141,7 +141,7 @@ def _adaptive_over_time(spark, net, *, seed) -> TableResult:
     )
     return TableResult(
         table="", title="", rows=df,
-        extras={"summary": summary, "results": res},
+        extras={"summary": summary},
     )
 
 
@@ -169,10 +169,12 @@ def table_t02(spark: SparkSession) -> TableResult:
 # --------------------------------------------------------------------------
 
 def _summed_latency(spark, net, queries, *, title, table, paper_note,
-                    trace=None) -> TableResult:
+                    trace=None, extra: dict[str, ExperimentConfig] | None = None
+                    ) -> TableResult:
+    """Summed latency of the four strategies (k=8, M2), then of ``extra``."""
     if trace is None:
         trace = trace_for(spark, net, queries)
-    res = _run_all(spark, net, queries, trace, _strategies(8, M2))
+    res = _run_all(spark, net, queries, trace, {**_strategies(8, M2), **(extra or {})})
     rows = pd.DataFrame(
         [
             {
@@ -186,47 +188,21 @@ def _summed_latency(spark, net, queries, *, title, table, paper_note,
             for name, r in res.items()
         ]
     )
-    return TableResult(table=table, title=title, rows=rows, notes=paper_note,
-                       extras={"results": res})
+    return TableResult(table=table, title=title, rows=rows, notes=paper_note)
 
 
 def table_t03(spark: SparkSession) -> TableResult:
     net = bw_lite()
     _, _, phase1, trace1 = _main_bundle(spark, net, seed=42)
-    t = _summed_latency(
+    return _summed_latency(
         spark, net, phase1, trace=trace1,
         table="T3", title="Fig 6a: summed latency, SSSP on BW",
         paper_note="paper: Q-cut -43% vs Hash, -22% vs Domain; LDG was "
                    "excluded by the paper for 2-6x worse latency (imbalance) "
                    "— measured here for completeness",
+        # the paper's excluded LDG baseline (§4.1 "Initial Partitioning")
+        extra={"ldg (paper-excluded)": ExperimentConfig(k=8, initial="ldg", cost=M2)},
     )
-    # the paper's excluded LDG baseline (§4.1 "Initial Partitioning")
-    ldg = run_experiment(
-        spark, net, phase1, trace1, ExperimentConfig(k=8, initial="ldg", cost=M2)
-    )
-    hash_total = float(
-        t.rows.loc[t.rows["strategy"] == "hash", "total_latency"].iloc[0]
-    )
-    domain_total = float(
-        t.rows.loc[t.rows["strategy"] == "domain", "total_latency"].iloc[0]
-    )
-    t.rows = pd.concat(
-        [
-            t.rows,
-            pd.DataFrame(
-                [{
-                    "strategy": "ldg (paper-excluded)",
-                    "total_latency": ldg.total_latency,
-                    "vs_hash": ldg.total_latency / hash_total,
-                    "vs_domain": ldg.total_latency / domain_total,
-                    "locality_tail": float(ldg.per_batch["avg_locality"].tail(8).mean()),
-                    "imbalance_tail": float(ldg.per_batch["imbalance_window"].tail(8).mean()),
-                }]
-            ),
-        ],
-        ignore_index=True,
-    )
-    return t
 
 
 def table_t04(spark: SparkSession) -> TableResult:
@@ -351,7 +327,7 @@ def table_t09(spark: SparkSession) -> TableResult:
         notes=f"cost {qres.cost_initial:.0f} -> {qres.cost_final:.0f} "
               f"(-{100*reduction:.0f}%; paper: >75%), "
               f"{len(qres.perturbation_steps)} perturbations",
-        extras={"reduction": reduction, "result": qres},
+        extras={"reduction": reduction},
     )
 
 

@@ -46,7 +46,6 @@ class BatchSimResult:
     locality: pd.Series         # qid -> fraction of fully-local iterations
     imbalance: float            # mean relative deviation of active-vertex load
     worker_active: np.ndarray   # (k, T) active vertices per worker per tick
-    group_sizes: pd.DataFrame   # (qid, iter, group_size)
 
     @property
     def avg_latency(self) -> float:
@@ -66,6 +65,24 @@ class BatchSimResult:
         return self.worker_active.sum(axis=1)
 
 
+def imbalance(totals: np.ndarray) -> float:
+    """Workload imbalance of per-worker totals (paper Fig. 6e): their mean
+    relative deviation from the average; 0 if there is no workload."""
+    if totals.sum() <= 0:
+        return 0.0
+    return float(np.abs(totals - totals.mean()).mean() / totals.mean())
+
+
+def _rows(qids: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row of each report qid ``q`` in the sorted batch ``qids``; a report
+    of a query outside the batch is a ValueError."""
+    i = np.searchsorted(qids, q)
+    if not np.array_equal(qids[np.minimum(i, len(qids) - 1)], q):
+        missing = np.setdiff1d(q, qids)
+        raise ValueError(f"reports of queries outside the batch: {missing.tolist()}")
+    return i
+
+
 def _price(
     ac: pd.DataFrame,
     mc: pd.DataFrame,
@@ -80,7 +97,6 @@ def _price(
     ``dur``/``group_size``: (n_queries, T); ``AV``: (k, T) active vertices.
     Ticks where a query is finished have dur 0 and group_size 0.
     """
-    qidx = {int(q): i for i, q in enumerate(qids)}
     nq = len(qids)
     T = int(ac["iter"].max()) + 1
 
@@ -94,8 +110,7 @@ def _price(
     np.add.at(AV, (aw, ai), an)
 
     part = np.zeros((nq, T, k), dtype=bool)
-    aq = np.fromiter((qidx[int(q)] for q in ac["qid"]), dtype=np.int64, count=len(ac))
-    part[aq, ai, aw] = True
+    part[_rows(qids, ac["qid"].to_numpy()), ai, aw] = True
 
     if not mc.empty:
         ws = mc["w_src"].to_numpy()
@@ -108,7 +123,7 @@ def _price(
         half = cost.remote_cost(k) / 2.0
         np.add.at(L, (ws[remote], mi[remote]), half * mn[remote])
         np.add.at(L, (wd[remote], mi[remote]), half * mn[remote])
-        mq = np.fromiter((qidx[int(q)] for q in mc["qid"]), dtype=np.int64, count=len(mc))
+        mq = _rows(qids, mc["qid"].to_numpy())
         part[mq, mi, ws] = True
         part[mq, mi, wd] = True
 
@@ -140,25 +155,12 @@ def _result(
     locality = pd.Series(loc, index=pd.Index(qids, name="qid"))
 
     # Paper Fig. 6e: workload = active vertices per worker in a time window
-    # (60 s there, one batch here); imbalance = mean relative deviation of
-    # the per-worker totals from the average.
-    totals = AV.sum(axis=1)
-    imbalance = (
-        float(np.abs(totals - totals.mean()).mean() / totals.mean())
-        if totals.sum() > 0
-        else 0.0
-    )
-
-    gq, gt = np.nonzero(live)
-    group_sizes = pd.DataFrame(
-        {"qid": qids[gq], "iter": gt, "group_size": group_size[gq, gt]}
-    )
+    # (60 s there, one batch here).
     return BatchSimResult(
         latencies=latencies,
         locality=locality,
-        imbalance=imbalance,
+        imbalance=imbalance(AV.sum(axis=1)),
         worker_active=AV,
-        group_sizes=group_sizes,
     )
 
 

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.cluster.costmodel import CostModel
-from repro.sync.barriers import simulate_batch, simulate_batch_switch
+from repro.sync.barriers import imbalance, simulate_batch, simulate_batch_switch
 
 COST = CostModel(
     comp_per_vertex=2.0, msg_local=0.5, msg_remote=1.0,
@@ -62,7 +62,9 @@ class TestRemoteQuery:
         res = simulate_batch(
             _ac([(1, 0, 0, 1)]), _mc([(1, 0, 0, 1, 1)]), k=4, cost=COST
         )
-        assert res.group_sizes.iloc[0]["group_size"] == 2
+        # L[0] = 2 + 0.5 = 2.5 ; the group is {sender, receiver}: barrier(2)
+        # = 8+4 = 12, not barrier(4) = 16 ; dur = 2.5 + 12 + 1
+        assert res.latencies.loc[1] == pytest.approx(15.5)
 
 
 class TestContention:
@@ -125,6 +127,10 @@ class TestMetrics:
         # totals (10, 0): mean 5, mean abs dev 5 -> 1.0
         assert res.imbalance == pytest.approx(1.0)
 
+    def test_imbalance_function(self):
+        assert imbalance(np.array([3.0, 1.0])) == 0.5
+        assert imbalance(np.zeros(4)) == 0.0
+
     def test_worker_totals(self):
         ac = _ac([(1, 0, 0, 3), (1, 1, 1, 4)])
         res = simulate_batch(ac, EMPTY_MC, k=2, cost=COST)
@@ -140,6 +146,19 @@ class TestMetrics:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             simulate_batch(_ac([]), EMPTY_MC, k=2, cost=COST)
+
+    def test_message_of_query_outside_batch_rejected(self):
+        with pytest.raises(ValueError, match=r"outside the batch: \[7\]"):
+            simulate_batch(_ac([(1, 0, 0, 1), (3, 0, 1, 1)]),
+                           _mc([(7, 0, 0, 1, 1)]), k=2, cost=COST)
+
+    def test_activation_of_query_outside_batch_rejected(self):
+        # the batch's qids are those of the reports before the switch
+        with pytest.raises(ValueError, match=r"outside the batch: \[2\]"):
+            simulate_batch_switch(
+                _ac([(1, 0, 0, 1)]), EMPTY_MC, _ac([(2, 0, 0, 1)]), EMPTY_MC,
+                switch_tick=1, switch_overhead=0.0, k=2, cost=COST,
+            )
 
 
 class TestSwitch:

@@ -4,7 +4,6 @@ import pandas as pd
 import pytest
 
 from repro.cluster.costmodel import M2
-from repro.controller.adaptivity import AdaptivityParams
 from repro.controller.simulator import (
     ExperimentConfig,
     _exclusive_cluster_of,
@@ -25,18 +24,15 @@ def net():
 
 @pytest.fixture(scope="module")
 def workload(net):
-    return hotspot_queries(net, n_queries=32, batch_size=8, seed=77)
+    # five 16-query batches: the window reaches MIN_WINDOW_QUERIES = 48 after
+    # three, so batch 3 may repartition and batch 4 then runs on the moved
+    # assignment
+    return hotspot_queries(net, n_queries=80, batch_size=16, seed=77)
 
 
 @pytest.fixture(scope="module")
 def trace(spark, net, workload):
     return run_queries(spark, edges_df(spark, net), workload, net, max_iters=80)
-
-
-def _adapt(**kw):
-    base = dict(window_batches=2, min_window_queries=8, cooldown_batches=0)
-    base.update(kw)
-    return AdaptivityParams(**base)
 
 
 class TestStatic:
@@ -53,7 +49,7 @@ class TestStatic:
         assert {"batch", "avg_latency", "sum_latency", "avg_locality",
                 "imbalance", "imbalance_window", "repartitioned",
                 "moved_vertices"} <= set(r.per_batch.columns)
-        assert list(r.per_batch["batch"]) == [0, 1, 2, 3]
+        assert list(r.per_batch["batch"]) == [0, 1, 2, 3, 4]
 
     def test_sum_matches_per_query(self, spark, net, workload, trace):
         r = run_experiment(spark, net, workload, trace, ExperimentConfig(k=4))
@@ -75,45 +71,41 @@ class TestStatic:
 
 class TestAdaptive:
     def test_adaptive_repartitions_from_hash(self, spark, net, workload, trace):
-        cfg = ExperimentConfig(k=4, initial="hash", adaptive=True,
-                               adaptivity=_adapt())
+        cfg = ExperimentConfig(k=4, initial="hash", adaptive=True)
         r = run_experiment(spark, net, workload, trace, cfg)
         assert r.per_batch["repartitioned"].any()
         assert len(r.qcut_runs) == int(r.per_batch["repartitioned"].sum())
         assert r.per_batch.loc[r.per_batch["repartitioned"], "moved_vertices"].sum() > 0
 
     def test_adaptive_improves_locality(self, spark, net, workload, trace):
-        cfg = ExperimentConfig(k=4, initial="hash", adaptive=True,
-                               adaptivity=_adapt())
+        cfg = ExperimentConfig(k=4, initial="hash", adaptive=True)
         r = run_experiment(spark, net, workload, trace, cfg)
         pb = r.per_batch
         assert pb["avg_locality"].iloc[-1] > pb["avg_locality"].iloc[0]
 
     def test_assignment_actually_changes(self, spark, net, workload, trace):
-        cfg = ExperimentConfig(k=4, initial="hash", adaptive=True,
-                               adaptivity=_adapt())
+        cfg = ExperimentConfig(k=4, initial="hash", adaptive=True)
         r = run_experiment(spark, net, workload, trace, cfg)
         init = initial_assignment(net, 4, "hash")
         assert (r.final_assignment.workers != init.workers).any()
 
     def test_deterministic(self, spark, net, workload, trace):
-        cfg = ExperimentConfig(k=4, initial="hash", adaptive=True,
-                               adaptivity=_adapt(), seed=3)
+        cfg = ExperimentConfig(k=4, initial="hash", adaptive=True, seed=3)
         a = run_experiment(spark, net, workload, trace, cfg)
         b = run_experiment(spark, net, workload, trace, cfg)
         pd.testing.assert_frame_equal(a.per_batch, b.per_batch)
-
 
     def test_batch_after_move_priced_under_new_assignment(self, spark, net, workload, trace):
         """A batch after a repartition runs on the moved assignment: the
         last batch's latencies are those of its reports priced under the
         final assignment."""
-        cfg = ExperimentConfig(k=4, initial="hash", adaptive=True,
-                               adaptivity=_adapt(cooldown_batches=1))
+        cfg = ExperimentConfig(k=4, initial="hash", adaptive=True)
         r = run_experiment(spark, net, workload, trace, cfg)
         pb = r.per_batch
+        # batch 3 is the first whose window holds 48 queries; batch 4 comes
+        # right after a repartition
+        assert pb["repartitioned"].tolist() == [False, False, False, True, False]
         assert pb["moved_vertices"].iloc[:-1].sum() > 0
-        assert not pb["repartitioned"].iloc[-1]
         last = [q.qid for q in workload if q.batch == pb["batch"].iloc[-1]]
         stats = TraceStats(trace)
         want = simulate_batch(stats.active_counts(r.final_assignment, last),
