@@ -69,7 +69,7 @@ def spark() -> SparkSession:
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
     The broadcast threshold is -1, so Spark broadcasts no join side on its
-    own; the BSP engine runs no join (one ``mapInPandas`` job per trace).
+    own; the BSP engine runs no join (one RDD ``mapPartitions`` job per trace).
     """
     s = (
         SparkSession.builder.appName("repro")

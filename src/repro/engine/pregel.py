@@ -4,20 +4,19 @@ Queries are logically independent, as in Q-Graph's decoupled per-query
 execution: a query's state is keyed by (qid, vid), its messages come only
 from its own state and its pruning bound only from its own targets. So the
 trace of a workload is the union of its queries' traces run alone, and the
-engine shards the *queries*, not the vertices. One ``mapInPandas`` job runs
-one task per shard, ``defaultParallelism`` shards (a task has a fixed cost,
-so more shards than cores only add overhead). The road network's
-CSR and each shard's starts and targets travel in the task's closure, which
-Spark broadcasts with the stage. A task runs its shard's frontier BSP to
-convergence, or to ``max_iters`` supersteps, in numpy
+engine shards the *queries*, not the vertices. One RDD job, with no
+relational operator and so no DataFrame, runs one task per shard,
+``defaultParallelism`` shards (a task has a fixed cost, so more shards than
+cores only add overhead). The road network's CSR and each shard's starts and
+targets travel in the task's closure. A task runs its shard's frontier BSP
+to convergence, or to ``max_iters`` supersteps, in numpy
 (:mod:`repro.engine.kernel`), with Pregel's semantics (Malewicz et al.,
 SIGMOD'10): a min combiner, re-activation only on strict improvement, and a
 running bound, the best distance found at any of the query's targets. It
-yields its activation, message and final rows in one tagged schema; the
-driver collects them with one ``toPandas``, sorts them and splits them into
-the trace's three frames, so the trace depends on neither the shard count
-nor the task order. A shard's state is shard size x |V| x 8 B; shards are
-made smaller where that would exceed ``_SHARD_STATE_BYTES``.
+returns its trace as numpy blocks; the driver collects them, concatenates
+each kind and sorts it into its frame, so the trace depends on neither the
+shard count nor the task order. A shard's state is shard size x |V| x 8 B;
+shards are made smaller where that would exceed ``_SHARD_STATE_BYTES``.
 
 The trace feeds the simulated cluster (:mod:`repro.engine.trace`): BSP
 execution is partition-independent, so it is computed once per workload and
@@ -43,7 +42,7 @@ _SHARD_STATE_BYTES = 64 << 20  # per task
 
 
 def _shard_task(net: RoadNetwork, queries: list[Query], n_shards: int, max_iters: int):
-    """The ``mapInPandas`` function: shard ``s`` runs queries ``s, s +
+    """The ``mapPartitions`` function: shard ``s`` runs queries ``s, s +
     n_shards, ...`` over the CSR of ``net``."""
     qids = np.array([q.qid for q in queries], dtype=np.int64)
     starts = np.array([q.start for q in queries], dtype=np.int64)
@@ -69,27 +68,26 @@ def run_queries(
 
     ``edges`` is unused (the engine reads ``net.edges``); it stays so that
     callers keep their calls. A query still active after ``max_iters``
-    supersteps is cut off there without a signal.
+    supersteps is cut off there and listed in ``Trace.truncated``.
     """
     if not queries:
         raise ValueError("empty workload")
     qids = [q.qid for q in queries]
     if len(set(qids)) != len(qids):
         raise ValueError("duplicate qids in workload")
+    sc = spark.sparkContext
     per_shard = max(1, _SHARD_STATE_BYTES // (8 * net.n_vertices))
-    n_shards = max(min(len(queries), spark.sparkContext.defaultParallelism),
-                   -(-len(queries) // per_shard))
-    rows = spark.range(n_shards, numPartitions=n_shards).mapInPandas(
-        _shard_task(net, queries, n_shards, max_iters), kernel.SCHEMA).toPandas()
-    col = {c: rows[c].to_numpy() for c in rows.columns}
-    order = np.lexsort([col[c] for c in ("dst", "vid", "iter", "qid", "tag")])
-    cut = np.searchsorted(col["tag"][order], [kernel.MESSAGE, kernel.FINAL])
-    act, msg, fin = np.split(order, cut)
+    n_shards = max(min(len(queries), sc.defaultParallelism), -(-len(queries) // per_shard))
+    task = _shard_task(net, queries, n_shards, max_iters)
+    blocks = sc.parallelize(range(n_shards), n_shards).mapPartitions(task).collect()
+    act, msg, fin, dist, truncated = (np.concatenate(b, axis=-1) for b in zip(*blocks))
 
-    def frame(idx, **src):  # trace column -> transfer column, widened to 64 bits
-        return pd.DataFrame({name: col[c][idx].astype("f8" if c == "dist" else "i8", copy=False)
-                             for name, c in src.items()})
+    def frame(block, names, dist=None):  # sorted by the block's rows as keys, first row first
+        order = np.lexsort(block[::-1])
+        cols = dict(zip(names, block[:, order]))
+        return pd.DataFrame(cols if dist is None else {**cols, "dist": dist[order]})
 
-    return Trace(activations=frame(act, qid="qid", iter="iter", vid="vid"),
-                 messages=frame(msg, qid="qid", iter="iter", src="vid", dst="dst"),
-                 final=frame(fin, qid="qid", vid="vid", dist="dist"))
+    return Trace(activations=frame(act, ["qid", "iter", "vid"]),
+                 messages=frame(msg, ["qid", "iter", "src", "dst"]),
+                 final=frame(fin, ["qid", "vid"], dist),
+                 truncated=np.unique(truncated))

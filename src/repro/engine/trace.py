@@ -17,8 +17,9 @@ import hashlib
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
 
 CACHE_DIR = os.environ.get(
@@ -26,7 +27,7 @@ CACHE_DIR = os.environ.get(
 )
 # Part of every cache key: bump it when the engine's semantics or the
 # parquet layout change, so that no stale trace is re-priced.
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 @dataclass
@@ -38,11 +39,15 @@ class Trace:
     ``messages``: (qid, iter, src, dst) — a message sent in iteration
     ``iter`` (from an active ``src`` to neighbour ``dst``).
     ``final``: (qid, vid, dist) — final per-query vertex data.
+    ``truncated``: the sorted qids still active after the last superstep
+    the engine was allowed (``max_iters``); empty for a complete trace. It
+    is not saved: only complete traces are cached.
     """
 
     activations: pd.DataFrame
     messages: pd.DataFrame
     final: pd.DataFrame
+    truncated: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     def iters_per_query(self) -> pd.Series:
         """Number of BSP iterations each query executed (index: qid)."""
@@ -55,6 +60,7 @@ class Trace:
             activations=self.activations[self.activations["qid"].isin(qs)].copy(),
             messages=self.messages[self.messages["qid"].isin(qs)].copy(),
             final=self.final[self.final["qid"].isin(qs)].copy(),
+            truncated=self.truncated[np.isin(self.truncated, list(qs))],
         )
 
     def save(self, path: str) -> None:

@@ -74,11 +74,15 @@ def poi_workload(net: RoadNetwork, *, seed: int, n: int = N_MAIN) -> list[Query]
 
 def trace_for(spark: SparkSession, net: RoadNetwork, queries: list[Query],
               *, max_iters: int = 150) -> Trace:
-    """Disk-cached BSP trace of a workload (one Spark execution per key)."""
-    return cached_trace(
-        f"{workload_key(net, queries)}|max_iters={max_iters}",
-        lambda: run_queries(spark, edges_df(spark, net), queries, net, max_iters=max_iters),
-    )
+    """Disk-cached BSP trace of a workload (one Spark execution per key).
+    A trace cut off at ``max_iters`` raises ``RuntimeError`` and is not cached."""
+    def build():
+        trace = run_queries(spark, edges_df(spark, net), queries, net, max_iters=max_iters)
+        if len(trace.truncated):
+            raise RuntimeError(f"queries {trace.truncated.tolist()} still active at {max_iters=}")
+        return trace
+
+    return cached_trace(f"{workload_key(net, queries)}|max_iters={max_iters}", build)
 
 
 def _main_bundle(spark, net, *, seed):
