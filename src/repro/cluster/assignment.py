@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 
 
 @dataclass(frozen=True)
@@ -36,11 +35,3 @@ class Assignment:
     def vertex_counts(self) -> np.ndarray:
         """|V(w)| for each worker (paper A.1 workload term)."""
         return np.bincount(self.workers, minlength=self.k)
-
-    def to_pandas(self) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "vid": np.arange(len(self.workers), dtype=np.int64),
-                "worker": self.workers.astype(np.int32),
-            }
-        )

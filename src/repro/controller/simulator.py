@@ -97,7 +97,7 @@ def initial_assignment(net: RoadNetwork, k: int, name: str) -> Assignment:
 
 
 def _exclusive_cluster_of(
-    scope: pd.DataFrame, clusters: list[list[int]]
+    scope: dict[str, np.ndarray], clusters: list[list[int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Partition the window's scope vertices into *disjoint* cluster chunks.
 
@@ -106,19 +106,19 @@ def _exclusive_cluster_of(
     requests would undo the split the ILS planned. Each vertex goes to the
     cluster whose queries activated it most often (ties: lowest cluster id)
     — chunks are therefore activation-ball shaped, i.e. spatially coherent.
-    ``scope`` holds (qid, vid, n_active) rows, as
+    ``scope`` holds (qid, vid, n_active) int64 columns, as
     :meth:`TraceStats.scope_vertices` returns them; rows of queries in no
     cluster are ignored. Returns (vids ascending, cluster of each)."""
-    qid = scope["qid"].to_numpy(np.int64)
+    qid = scope["qid"]
     members = [q for qs in clusters for q in qs]
     cluster_of = np.full(max(members + [int(qid.max(initial=0))]) + 1, -1)
     cluster_of[members] = np.repeat(np.arange(len(clusters)), [len(qs) for qs in clusters])
     cl = cluster_of[qid]
     hit = cl >= 0
-    vid, cl = scope["vid"].to_numpy(np.int64)[hit], cl[hit]
+    vid, cl = scope["vid"][hit], cl[hit]
     # activations per (vid, cluster), then the most-activating cluster per vid
     keys, inv = np.unique(vid * len(clusters) + cl, return_inverse=True)
-    n = np.bincount(inv, weights=scope["n_active"].to_numpy()[hit], minlength=len(keys))
+    n = np.bincount(inv, weights=scope["n_active"][hit], minlength=len(keys))
     vid, cl = np.divmod(keys, len(clusters))
     order = np.lexsort((cl, -n, vid))
     vid, cl = vid[order], cl[order]
@@ -169,7 +169,8 @@ def _residual_sweeps(workers: np.ndarray, free: np.ndarray, net: RoadNetwork, k:
 
 
 def _apply_qcut_moves(
-    assignment: Assignment, result: QcutResult, scope: pd.DataFrame, net: RoadNetwork
+    assignment: Assignment, result: QcutResult, scope: dict[str, np.ndarray],
+    net: RoadNetwork
 ) -> tuple[Assignment, int]:
     """Translate the high-level placement back to vertex moves (paper §3.2.1
     step 3): each disjoint cluster chunk of ``scope`` follows its cluster's

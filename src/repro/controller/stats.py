@@ -8,27 +8,26 @@ of the execution trace joined with the current vertex assignment: a gather
 controller's small high-level view, so no Spark job runs here; Spark is
 used only by the BSP engine that records the trace.
 
-Reports are sorted by their key columns, so pricing does not depend on the
-order in which the trace was recorded.
+A report is a ``dict[str, np.ndarray]`` of int64 columns keyed by column
+name. Its rows are sorted by its key columns, so pricing does not depend on
+the order in which the trace was recorded.
 
 Every report has a DuckDB-oracle test in ``tests/test_stats_oracle.py``.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.cluster.assignment import Assignment
 from repro.core.qcut import QcutInput
 from repro.engine.trace import Trace
 
 
-def _group_count(columns: dict[str, np.ndarray], count: str | None) -> pd.DataFrame:
-    """``SELECT cols[, count(*) AS count] GROUP BY cols ORDER BY cols``.
+def _group_count(columns: dict[str, np.ndarray], count: str) -> dict[str, np.ndarray]:
+    """``SELECT cols, count(*) AS count GROUP BY cols ORDER BY cols``.
 
-    With ``count=None`` this is ``SELECT DISTINCT``. The columns hold
-    non-negative ids; each row is packed into one int64 in mixed radix, so
-    the group-by is a single integer sort."""
+    The columns hold non-negative ids; each row is packed into one int64
+    in mixed radix, so the group-by is a single integer sort."""
     cols = {c: np.asarray(v, dtype=np.int64) for c, v in columns.items()}
     radix = {c: int(v.max(initial=0)) + 1 for c, v in cols.items()}
     if np.prod(list(radix.values()), dtype=float) >= 2.0**63:
@@ -40,24 +39,26 @@ def _group_count(columns: dict[str, np.ndarray], count: str | None) -> pd.DataFr
     out = {}
     for c in reversed(cols):
         packed, out[c] = np.divmod(packed, radix[c])
-    df = pd.DataFrame({c: out[c] for c in cols})
-    if count is not None:
-        df[count] = n
-    return df
+    return {**{c: out[c] for c in cols}, count: n}
 
 
 class TraceStats:
     """Worker reports over one trace; reusable across assignments.
 
     Holds the trace as numpy columns; each method gathers the worker of
-    every row's vertex under an assignment and returns a small pandas
-    aggregate for the controller (the paper's high-level representation).
+    every row's vertex under an assignment and returns a small report of
+    numpy columns for the controller (the paper's high-level
+    representation). The trace frames are sorted by qid first, so the rows
+    of a query are one contiguous slice.
     """
 
     def __init__(self, trace: Trace):
         a, m = trace.activations, trace.messages
         self._act = {c: a[c].to_numpy() for c in ("qid", "iter", "vid")}
         self._msg = {c: m[c].to_numpy() for c in ("qid", "iter", "src", "dst")}
+        for name, cols in (("activations", self._act), ("messages", self._msg)):
+            if (np.diff(cols["qid"]) < 0).any():
+                raise ValueError(f"trace {name} are not sorted by qid")
 
     def close(self) -> None:
         """Drop the trace columns; the object is unusable afterwards."""
@@ -65,14 +66,20 @@ class TraceStats:
 
     @staticmethod
     def _select(cols: dict[str, np.ndarray], qids) -> dict[str, np.ndarray]:
-        """The rows of the queries ``qids``; every row if ``qids`` is None."""
+        """The rows of the queries ``qids``, each selected once; every row
+        if ``qids`` is None. A query's rows are the slice of its qid in the
+        sorted qid column; the slices of ascending qids ascend, so the rows
+        keep their trace order."""
         if qids is None:
             return cols
-        keep = np.isin(cols["qid"], np.asarray(list(qids), dtype=np.int64))
-        return {c: v[keep] for c, v in cols.items()}
+        q = np.unique(np.asarray(list(qids), dtype=np.int64))
+        lo = np.searchsorted(cols["qid"], q)
+        n = np.searchsorted(cols["qid"], q, side="right") - lo
+        rows = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+        return {c: v[rows] for c, v in cols.items()}
 
     # -- worker reports -------------------------------------------------------
-    def active_counts(self, assignment: Assignment, qids=None) -> pd.DataFrame:
+    def active_counts(self, assignment: Assignment, qids=None) -> dict[str, np.ndarray]:
         """(qid, iter, worker, n_active): per-iteration worker activity of
         the queries ``qids`` (all if None)."""
         a = self._select(self._act, qids)
@@ -81,7 +88,7 @@ class TraceStats:
             "n_active",
         )
 
-    def message_counts(self, assignment: Assignment, qids=None) -> pd.DataFrame:
+    def message_counts(self, assignment: Assignment, qids=None) -> dict[str, np.ndarray]:
         """(qid, iter, w_src, w_dst, n_msgs): message worker-pair counts of
         the queries ``qids`` (all if None)."""
         m = self._select(self._msg, qids)
@@ -92,7 +99,7 @@ class TraceStats:
             "n_msgs",
         )
 
-    def scope_vertices(self, qids=None, iter_lt: dict | None = None) -> pd.DataFrame:
+    def scope_vertices(self, qids=None, iter_lt: dict | None = None) -> dict[str, np.ndarray]:
         """(qid, vid, n_active): global-scope membership and how often the
         query activated the vertex, for the queries ``qids`` (all if None).
 
@@ -111,7 +118,7 @@ class TraceStats:
         return _group_count({"qid": a["qid"], "vid": a["vid"]}, "n_active")
 
 
-def qcut_input(scope_vertices: pd.DataFrame, assignment: Assignment) -> QcutInput:
+def qcut_input(scope_vertices: dict[str, np.ndarray], assignment: Assignment) -> QcutInput:
     """The Q-cut input for the queries of ``scope_vertices``.
 
     ``ls[i, w]`` = |LS(q_i, w)|, the scope vertices of query ``q_i`` on
@@ -122,8 +129,8 @@ def qcut_input(scope_vertices: pd.DataFrame, assignment: Assignment) -> QcutInpu
     Overlaps are counted as pairs of rows that share a vertex, in integer
     numpy on the calling thread: no BLAS product, whose worker threads keep
     spinning after the call returns."""
-    qids, qi = np.unique(scope_vertices["qid"].to_numpy(), return_inverse=True)
-    vids, vi = np.unique(scope_vertices["vid"].to_numpy(), return_inverse=True)
+    qids, qi = np.unique(scope_vertices["qid"], return_inverse=True)
+    vids, vi = np.unique(scope_vertices["vid"], return_inverse=True)
     n = len(qids)
     ls = np.zeros((n, assignment.k))
     np.add.at(ls, (qi, assignment.worker_of(vids)[vi]), 1.0)

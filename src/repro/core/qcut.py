@@ -51,6 +51,8 @@ class QcutResult:
     clusters: list[list[int]]
     ils_s: float                  # wall time of the ILS rounds (data only)
     rebalance_capped: int         # rebalance calls left unbalanced at the move cap (data only)
+    balanced: bool                # final state meets the all-pairs δ-balance (data only)
+    load_spread: float            # (max − min) / max of the final loads L (data only)
 
 
 def local_search(state: QcutState) -> QcutState:
@@ -191,6 +193,7 @@ def run_qcut(
         history.append(best.cost())
     ils_s = time.monotonic() - t0
 
+    hi = best.L.max()
     return QcutResult(
         cluster_placement={(ci, w_init): w_fin
                            for ci in range(len(clusters))
@@ -202,4 +205,6 @@ def run_qcut(
         clusters=clusters,
         ils_s=ils_s,
         rebalance_capped=capped,
+        balanced=bool(best.is_balanced()),
+        load_spread=float((hi - best.L.min()) / hi) if hi > 0 else 0.0,
     )

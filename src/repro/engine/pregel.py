@@ -46,9 +46,7 @@ def _shard_task(net: RoadNetwork, queries: list[Query], n_shards: int, max_iters
     n_shards, ...`` over the CSR of ``net``."""
     qids = np.array([q.qid for q in queries], dtype=np.int64)
     starts = np.array([q.start for q in queries], dtype=np.int64)
-    targets = targets_for(queries, net)
-    tq = pd.Index(qids).get_indexer(targets["qid"])
-    tv = targets["vid"].to_numpy(np.int64)
+    tq, tv = targets_for(queries, net)
     shards = [(qids[s::n_shards], starts[s::n_shards],
                tq[tq % n_shards == s] // n_shards, tv[tq % n_shards == s])
               for s in range(n_shards)]

@@ -49,10 +49,6 @@ class Trace:
     final: pd.DataFrame
     truncated: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
-    def iters_per_query(self) -> pd.Series:
-        """Number of BSP iterations each query executed (index: qid)."""
-        return self.activations.groupby("qid")["iter"].max() + 1
-
     def restrict(self, qids) -> "Trace":
         """Sub-trace containing only the given queries."""
         qs = set(int(q) for q in qids)

@@ -21,28 +21,24 @@ The relaxation itself is :mod:`repro.engine.kernel`, run by
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.queries.workload import Query
 from repro.roadnet.generator import RoadNetwork
 
 
-def targets_for(queries: list[Query], net: RoadNetwork) -> pd.DataFrame:
-    """(qid, vid) target membership driving bound pruning & termination."""
-    qids: list[int] = []
-    vids: list[int] = []
-    tagged = net.vertices.loc[net.vertices["tag"], "vid"].to_numpy()
+def targets_for(queries: list[Query], net: RoadNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Target membership driving bound pruning & termination, as int64
+    arrays ``(tq, tv)``: ``queries[tq[i]]`` has target vertex ``tv[i]``."""
+    tagged = net.vertices.loc[net.vertices["tag"], "vid"].to_numpy(np.int64)
+    ends = []
     for q in queries:
         if q.kind == "sssp":
             if q.end is None:
                 raise ValueError(f"SSSP query {q.qid} has no end vertex")
-            qids.append(q.qid)
-            vids.append(q.end)
+            ends.append([q.end])
         elif q.kind == "poi":
-            qids.extend([q.qid] * len(tagged))
-            vids.extend(int(v) for v in tagged)
+            ends.append(tagged)
         else:
             raise ValueError(f"unknown query kind {q.kind!r}")
-    return pd.DataFrame(
-        {"qid": np.array(qids, dtype=np.int64), "vid": np.array(vids, dtype=np.int64)}
-    )
+    tq = np.repeat(np.arange(len(queries), dtype=np.int64), [len(e) for e in ends])
+    return tq, np.concatenate(ends, dtype=np.int64)

@@ -81,9 +81,19 @@ class RoadNetwork:
             self._adj = adj
         return self._adj
 
+    @cached_property
+    def _city_vids(self) -> dict[int, np.ndarray]:
+        """Each city's vids in vid order, read-only like ``csr``."""
+        city = self.vertices["city"].to_numpy()
+        order = np.argsort(city, kind="stable")
+        vids = self.vertices["vid"].to_numpy()[order]
+        vids.setflags(write=False)
+        cities, first = np.unique(city[order], return_index=True)
+        return dict(zip(cities.tolist(), np.split(vids, first[1:])))
+
     def city_vertices(self, city: int) -> np.ndarray:
         """vids of the street lattice of ``city`` (excludes highways)."""
-        return self.vertices.loc[self.vertices["city"] == city, "vid"].to_numpy()
+        return self._city_vids[city]
 
 
 def _city_centroids(n_cities: int, plane: float, rng: np.random.Generator):

@@ -84,8 +84,8 @@ def _rows(qids: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _price(
-    ac: pd.DataFrame,
-    mc: pd.DataFrame,
+    ac: dict[str, np.ndarray],
+    mc: dict[str, np.ndarray],
     qids: np.ndarray,
     *,
     k: int,
@@ -103,29 +103,23 @@ def _price(
     # ---- per-worker per-tick load L and active-vertex counts AV ----------
     L = np.zeros((k, T))
     AV = np.zeros((k, T))
-    aw = ac["worker"].to_numpy()
-    ai = ac["iter"].to_numpy()
-    an = ac["n_active"].to_numpy(dtype=float)
+    aw, ai, an = ac["worker"], ac["iter"], ac["n_active"]
     np.add.at(L, (aw, ai), cost.comp_per_vertex * an)
     np.add.at(AV, (aw, ai), an)
 
     part = np.zeros((nq, T, k), dtype=bool)
-    part[_rows(qids, ac["qid"].to_numpy()), ai, aw] = True
+    part[_rows(qids, ac["qid"]), ai, aw] = True
 
-    if not mc.empty:
-        ws = mc["w_src"].to_numpy()
-        wd = mc["w_dst"].to_numpy()
-        mi = mc["iter"].to_numpy()
-        mn = mc["n_msgs"].to_numpy(dtype=float)
-        local = ws == wd
-        np.add.at(L, (ws[local], mi[local]), cost.msg_local * mn[local])
-        remote = ~local
-        half = cost.remote_cost(k) / 2.0
-        np.add.at(L, (ws[remote], mi[remote]), half * mn[remote])
-        np.add.at(L, (wd[remote], mi[remote]), half * mn[remote])
-        mq = _rows(qids, mc["qid"].to_numpy())
-        part[mq, mi, ws] = True
-        part[mq, mi, wd] = True
+    ws, wd, mi, mn = mc["w_src"], mc["w_dst"], mc["iter"], mc["n_msgs"]
+    local = ws == wd
+    np.add.at(L, (ws[local], mi[local]), cost.msg_local * mn[local])
+    remote = ~local
+    half = cost.remote_cost(k) / 2.0
+    np.add.at(L, (ws[remote], mi[remote]), half * mn[remote])
+    np.add.at(L, (wd[remote], mi[remote]), half * mn[remote])
+    mq = _rows(qids, mc["qid"])
+    part[mq, mi, ws] = True
+    part[mq, mi, wd] = True
 
     group_size = part.sum(axis=2)  # (nq, T)
     live = group_size > 0
@@ -165,8 +159,8 @@ def _result(
 
 
 def simulate_batch(
-    ac: pd.DataFrame,
-    mc: pd.DataFrame,
+    ac: dict[str, np.ndarray],
+    mc: dict[str, np.ndarray],
     *,
     k: int,
     cost: CostModel,
@@ -174,21 +168,24 @@ def simulate_batch(
 ) -> BatchSimResult:
     """Price one batch under one barrier mode and one fixed assignment.
 
-    ``ac``: (qid, iter, worker, n_active) — active-vertex counts, restricted
-    to the batch's queries. ``mc``: (qid, iter, w_src, w_dst, n_msgs).
+    The inputs are the workers' reports as int64 numpy columns keyed by
+    name (:class:`repro.controller.stats.TraceStats` returns them), restricted
+    to the batch's queries: ``ac`` holds (qid, iter, worker, n_active)
+    active-vertex counts, ``mc`` (qid, iter, w_src, w_dst, n_msgs) message
+    counts. Row order does not matter; ``mc`` may have no rows.
     """
-    if ac.empty:
+    if len(ac["qid"]) == 0:
         raise ValueError("batch has no activations")
-    qids = np.sort(ac["qid"].unique())
+    qids = np.unique(ac["qid"])
     dur, group_size, AV = _price(ac, mc, qids, k=k, cost=cost, mode=mode)
     return _result(qids, dur, group_size, AV)
 
 
 def simulate_batch_switch(
-    ac_before: pd.DataFrame,
-    mc_before: pd.DataFrame,
-    ac_after: pd.DataFrame,
-    mc_after: pd.DataFrame,
+    ac_before: dict[str, np.ndarray],
+    mc_before: dict[str, np.ndarray],
+    ac_after: dict[str, np.ndarray],
+    mc_after: dict[str, np.ndarray],
     *,
     switch_tick: int,
     switch_overhead: float,
@@ -198,13 +195,16 @@ def simulate_batch_switch(
 ) -> BatchSimResult:
     """Price one batch whose assignment changes at ``switch_tick``.
 
-    Ticks < ``switch_tick`` use the *before* tables, ticks >= use *after*.
-    Every query still live at the switch additionally pays
-    ``switch_overhead`` (the global STOP/START barrier + vertex shipping).
+    The four inputs are reports as in :func:`simulate_batch`, each pair
+    taken under the assignment before and after the switch. Ticks <
+    ``switch_tick`` use the *before* reports, ticks >= use *after*. The
+    batch's queries are those of ``ac_before``. Every query still live at
+    the switch additionally pays ``switch_overhead`` (the global STOP/START
+    barrier + vertex shipping).
     """
-    if ac_before.empty:
+    if len(ac_before["qid"]) == 0:
         raise ValueError("batch has no activations")
-    qids = np.sort(ac_before["qid"].unique())
+    qids = np.unique(ac_before["qid"])
     dur_b, gs_b, av_b = _price(ac_before, mc_before, qids, k=k, cost=cost, mode=mode)
     dur_a, gs_a, av_a = _price(ac_after, mc_after, qids, k=k, cost=cost, mode=mode)
     T = dur_b.shape[1]

@@ -34,11 +34,3 @@ class TestLookup:
     def test_vertex_counts_includes_empty_workers(self):
         a = Assignment(workers=np.zeros(5, dtype=np.int32), k=3)
         np.testing.assert_array_equal(a.vertex_counts(), [5, 0, 0])
-
-
-class TestConversion:
-    def test_to_pandas_roundtrip(self):
-        a = _mk(6, 2)
-        pdf = a.to_pandas()
-        assert list(pdf.columns) == ["vid", "worker"]
-        np.testing.assert_array_equal(pdf["worker"].to_numpy(), a.workers)

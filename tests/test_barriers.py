@@ -1,6 +1,5 @@
 """Tick-based barrier simulation — hand-verified arithmetic (paper §3.3)."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.cluster.costmodel import CostModel
@@ -12,12 +11,17 @@ COST = CostModel(
 )
 
 
+def _report(rows, columns):
+    cols = np.array(rows, dtype=np.int64).reshape(-1, len(columns)).T
+    return dict(zip(columns, cols))
+
+
 def _ac(rows):
-    return pd.DataFrame(rows, columns=["qid", "iter", "worker", "n_active"])
+    return _report(rows, ["qid", "iter", "worker", "n_active"])
 
 
 def _mc(rows):
-    return pd.DataFrame(rows, columns=["qid", "iter", "w_src", "w_dst", "n_msgs"])
+    return _report(rows, ["qid", "iter", "w_src", "w_dst", "n_msgs"])
 
 
 EMPTY_MC = _mc([])

@@ -194,6 +194,15 @@ class TestRunQcut:
         res = run_qcut(inp, max_rounds=10, seed=0)
         assert all(0 < s <= len(res.history) for s in res.perturbation_steps)
 
+    def test_final_balance_recorded(self):
+        # one spread query fuses at cost 0, which moves its whole scope to
+        # one worker: loads (2.5, 2.5) become (7.5, -2.5), as A.1 counts them
+        inp = QcutInput(qids=[1], ls=np.array([[5.0, 5.0]]), vcounts=np.zeros(2))
+        res = run_qcut(inp, delta=0.1, seed=0)
+        assert res.cost_final == 0.0
+        assert res.balanced is False
+        assert res.load_spread == pytest.approx(10 / 7.5)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             run_qcut(QcutInput(qids=[1], ls=np.zeros((2, 2)), vcounts=np.zeros(2)))
@@ -208,3 +217,4 @@ class TestRunQcut:
         inp = self._input(ls, rng.integers(20, 60, 4))
         res = run_qcut(inp, max_rounds=8, seed=seed)
         assert res.cost_final <= res.cost_initial
+        assert res.balanced == (res.load_spread < 0.25)

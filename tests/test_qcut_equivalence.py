@@ -135,7 +135,7 @@ def test_exclusive_cluster_of(seed):
     qs = rng.permutation(np.arange(1, 30)).tolist()
     cut = sorted(rng.choice(np.arange(1, 29), 5, replace=False).tolist())
     clusters = [sorted(c.tolist()) for c in np.split(qs, cut)][:-1]  # last group unclustered
-    vid, cl = _exclusive_cluster_of(scope, clusters)
+    vid, cl = _exclusive_cluster_of({c: scope[c].to_numpy() for c in scope}, clusters)
     want = ref.exclusive_cluster_of(scope, clusters)
     np.testing.assert_array_equal(vid, want["vid"].to_numpy())
     np.testing.assert_array_equal(cl, want["cluster"].to_numpy())

@@ -117,11 +117,11 @@ class TestAdaptive:
 
 class TestExclusivePartition:
     def test_vertices_assigned_to_single_cluster(self):
-        scope = pd.DataFrame({
-            "qid": [1, 1, 2, 2, 3],
-            "vid": [10, 11, 10, 12, 13],
-            "n_active": [1, 1, 2, 1, 1],
-        })
+        scope = {
+            "qid": np.array([1, 1, 2, 2, 3]),
+            "vid": np.array([10, 11, 10, 12, 13]),
+            "n_active": np.array([1, 1, 2, 1, 1]),
+        }
         clusters = [[1], [2], [3]]
         vid, cluster = _exclusive_cluster_of(scope, clusters)
         assert len(np.unique(vid)) == len(vid)
@@ -132,12 +132,13 @@ class TestExclusivePartition:
 
     def test_counts_summed_per_cluster(self):
         # cluster 0 = {q1, q2} activated vid 5 twice in all, q3 once
-        scope = pd.DataFrame({"qid": [1, 2, 3], "vid": [5, 5, 5], "n_active": [1, 1, 1]})
+        scope = {"qid": np.array([1, 2, 3]), "vid": np.array([5, 5, 5]),
+                 "n_active": np.array([1, 1, 1])}
         vid, cluster = _exclusive_cluster_of(scope, [[3], [1, 2]])
         assert dict(zip(vid.tolist(), cluster.tolist()))[5] == 1
 
     def test_tie_breaks_to_lowest_cluster(self):
-        scope = pd.DataFrame({"qid": [1, 2], "vid": [5, 5], "n_active": [1, 1]})
+        scope = {"qid": np.array([1, 2]), "vid": np.array([5, 5]), "n_active": np.array([1, 1])}
         vid, cluster = _exclusive_cluster_of(scope, [[1], [2]])
         assert dict(zip(vid.tolist(), cluster.tolist()))[5] == 0
 

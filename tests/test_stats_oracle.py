@@ -2,8 +2,9 @@
 
 Every report of :mod:`repro.controller.stats` and the Q-cut input built from
 them are checked against the equivalent SQL over the same inputs via
-``repro.oracle.assert_equivalent`` — a broken gather or group-by shows up as
-a row diff, not a green "it ran".
+``tests.oracle.assert_equivalent`` — a broken gather or group-by shows up as
+a row diff, not a green "it ran". A report's numpy columns go to the oracle
+as ``pd.DataFrame(report)``.
 """
 import numpy as np
 import pandas as pd
@@ -12,9 +13,10 @@ import pytest
 from repro.cluster.partitioners import domain_partition, hash_partition
 from repro.controller.stats import TraceStats, qcut_input
 from repro.engine import run_queries
-from repro.oracle import assert_equivalent
+from repro.engine.trace import Trace
 from repro.queries.workload import hotspot_queries
 from repro.roadnet.datasets import edges_df, tiny_grid
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +62,11 @@ def _restriction_sql(qids, iter_lt=None, table="a") -> str:
     return " AND ".join(conds)
 
 
+def _assign(assignment) -> pd.DataFrame:
+    """The (vid, worker) table of an assignment."""
+    return pd.DataFrame({"vid": np.arange(assignment.n_vertices), "worker": assignment.workers})
+
+
 def _ls_rows(inp) -> pd.DataFrame:
     q, w = np.nonzero(inp.ls)
     return pd.DataFrame({"qid": np.asarray(inp.qids)[q], "worker": w, "size": inp.ls[q, w]})
@@ -69,7 +76,7 @@ class TestOracle:
     def test_active_counts(self, stats, trace, assignment, qids):
         for sel in (None, qids[::3], qids[-2:]):
             assert_equivalent(
-                stats.active_counts(assignment, sel),
+                pd.DataFrame(stats.active_counts(assignment, sel)),
                 f"""
                 SELECT a.qid, a.iter, s.worker, count(*) AS n_active
                 FROM activations a JOIN assign s USING (vid)
@@ -77,13 +84,13 @@ class TestOracle:
                 GROUP BY a.qid, a.iter, s.worker
                 """,
                 activations=trace.activations,
-                assign=assignment.to_pandas(),
+                assign=_assign(assignment),
             )
 
     def test_message_counts(self, stats, trace, assignment, qids):
         for sel in (None, qids[::3], qids[-2:]):
             assert_equivalent(
-                stats.message_counts(assignment, sel),
+                pd.DataFrame(stats.message_counts(assignment, sel)),
                 f"""
                 SELECT m.qid, m.iter, s1.worker AS w_src, s2.worker AS w_dst,
                        count(*) AS n_msgs
@@ -94,19 +101,21 @@ class TestOracle:
                 GROUP BY m.qid, m.iter, s1.worker, s2.worker
                 """,
                 messages=trace.messages,
-                assign=assignment.to_pandas(),
+                assign=_assign(assignment),
             )
 
     def test_reports_sorted_by_key(self, stats, assignment):
-        for df in (stats.active_counts(assignment), stats.message_counts(assignment),
-                   stats.scope_vertices()):
-            keys = [c for c in df.columns if not c.startswith("n_")]
-            assert df.equals(df.sort_values(keys, ignore_index=True))
+        for report in (stats.active_counts(assignment), stats.message_counts(assignment),
+                       stats.scope_vertices()):
+            assert all(v.dtype == np.int64 for v in report.values())
+            keys = [c for c in report if not c.startswith("n_")]
+            order = np.lexsort([report[c] for c in reversed(keys)])
+            np.testing.assert_array_equal(order, np.arange(len(order)))
 
     def test_scope_vertices(self, stats, trace, qids):
         for sel, iter_lt in ((None, None), (qids[:3], {qids[0]: 2}), (None, {qids[1]: 3})):
             assert_equivalent(
-                stats.scope_vertices(sel, iter_lt),
+                pd.DataFrame(stats.scope_vertices(sel, iter_lt)),
                 f"SELECT qid, vid, count(*) AS n_active FROM activations a "
                 f"WHERE {_restriction_sql(sel, iter_lt)} GROUP BY qid, vid",
                 activations=trace.activations,
@@ -125,7 +134,7 @@ class TestOracle:
             ) GROUP BY qid, worker
             """,
             activations=trace.activations,
-            assign=assignment.to_pandas(),
+            assign=_assign(assignment),
         )
 
     def test_local_scope_sizes_partial(self, stats, trace, assignment, qids):
@@ -141,7 +150,7 @@ class TestOracle:
             ) GROUP BY qid, worker
             """,
             activations=trace.activations,
-            assign=assignment.to_pandas(),
+            assign=_assign(assignment),
         )
 
     def test_global_pair_overlaps(self, stats, trace, net):
@@ -161,7 +170,7 @@ class TestOracle:
     @pytest.mark.parametrize("kind", ["pandas", "spark"])
     def test_oracle_catches_wrong_result(self, spark, stats, trace, net, kind):
         assignment = hash_partition(net.n_vertices, 3)
-        wrong = stats.active_counts(assignment).assign(
+        wrong = pd.DataFrame(stats.active_counts(assignment)).assign(
             n_active=lambda d: d["n_active"] + 1)
         if kind == "spark":
             wrong = spark.createDataFrame(wrong)
@@ -174,5 +183,28 @@ class TestOracle:
                 GROUP BY a.qid, a.iter, s.worker
                 """,
                 activations=trace.activations,
-                assign=assignment.to_pandas(),
+                assign=_assign(assignment),
             )
+
+
+class TestSelection:
+    @pytest.mark.parametrize("frame", ["activations", "messages"])
+    def test_rejects_trace_out_of_qid_order(self, trace, frame):
+        frames = {"activations": trace.activations, "messages": trace.messages}
+        frames[frame] = frames[frame].iloc[::-1].reset_index(drop=True)
+        with pytest.raises(ValueError, match=f"{frame} are not sorted by qid"):
+            TraceStats(Trace(**frames, final=trace.final))
+
+    def test_duplicate_qid_selected_once(self, stats, trace, assignment, qids):
+        once = [qids[0], qids[1]]
+        twice = [qids[1], qids[0], qids[1]]
+        for report in (lambda s: stats.active_counts(assignment, s),
+                       lambda s: stats.message_counts(assignment, s),
+                       lambda s: stats.scope_vertices(s)):
+            got, want = report(twice), report(once)
+            assert list(got) == list(want)
+            for c in want:
+                np.testing.assert_array_equal(got[c], want[c])
+        n_rows = int(trace.activations["qid"].isin(once).sum())
+        assert stats.active_counts(assignment, twice)["n_active"].sum() == n_rows
+        assert stats.scope_vertices(twice)["n_active"].sum() == n_rows
