@@ -13,7 +13,4 @@ def run_table_bench(benchmark, spark, table_fn):
     result = benchmark.pedantic(lambda: table_fn(spark), rounds=1, iterations=1)
     print()
     print(result.show())
-    if "summary" in result.extras:
-        print("-- summary --")
-        print(result.extras["summary"].to_string(index=False))
     return result

@@ -66,19 +66,13 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    The broadcast threshold is -1, so Spark broadcasts no join side on its
-    own; the BSP engine runs no join (one RDD ``mapPartitions`` job per trace).
+    pre-JVM-launch). Arrow is on for ``edges_df``'s ``createDataFrame``; no
+    test runs a Spark shuffle or join (the BSP engine is one RDD
+    ``mapPartitions`` job per trace).
     """
     s = (
         SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

@@ -36,9 +36,6 @@ def run_table(table: str) -> None:
     try:
         result = ALL_TABLES[table](spark)
         print(result.show())
-        if "summary" in result.extras:
-            print("-- summary --")
-            print(result.extras["summary"].to_string(index=False))
         out = os.path.join(os.path.dirname(__file__), "..", "results")
         os.makedirs(out, exist_ok=True)
         path = os.path.join(out, f"{table.lower()}.csv")

@@ -18,7 +18,7 @@ message constant (we price the *average* cost per message, post-batching).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,6 @@ class CostModel:
         if self.network_ports is None or k <= self.network_ports:
             return self.msg_remote
         return self.msg_remote * (-(-k // self.network_ports))
-
-    def with_(self, **kw) -> "CostModel":
-        return replace(self, **kw)
 
 
 # Infrastructure presets (paper Section 4.1, "Computing Infrastructures").

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 
 from repro.sync.barriers import imbalance
 
@@ -43,13 +42,14 @@ class AdaptiveController:
     _worker_totals: list[np.ndarray] = field(default_factory=list)
     _last_repartition: int = -10**9
 
-    def observe_batch(self, batch: int, locality: pd.Series, worker_totals) -> None:
+    def observe_batch(self, batch: int, qids: np.ndarray, locality: np.ndarray,
+                      worker_totals: np.ndarray) -> None:
         """Record the stats piggybacked on this batch's barrier messages:
-        per-query locality (indexed by qid) and per-worker active-vertex
-        workload totals."""
+        the locality of each query of ``qids`` and the per-worker
+        active-vertex workload totals."""
         self._batches.append(batch)
-        self._qids.append(locality.index.to_numpy(np.int64))
-        self._locality.append(locality.to_numpy(float))
+        self._qids.append(np.asarray(qids, dtype=np.int64))
+        self._locality.append(np.asarray(locality, dtype=float))
         self._worker_totals.append(np.asarray(worker_totals, dtype=float))
 
     def _window(self, batch: int) -> np.ndarray:

@@ -10,8 +10,8 @@ one round of the controller's MAPE loop (paper §3.4) per batch:
   joined with the assignment, aggregated in numpy);
 * *plan*: Q-cut (:func:`run_qcut`) over the window queries' reports, turned
   into move(LS(q,w), w, w') vertex moves. The move happens at a global
-  barrier during the batch, whose remaining ticks are priced again under
-  the new assignment (:func:`simulate_batch_switch`);
+  barrier during the batch, whose remaining ticks are priced from the
+  reports under the new assignment (:func:`simulate_batch_switch`);
 * *monitor*: the batch's per-query locality and per-worker workload feed
   the next decision.
 
@@ -80,10 +80,6 @@ class ExperimentResult:
     @property
     def total_latency(self) -> float:
         return float(self.per_query["latency"].sum())
-
-    @property
-    def avg_latency(self) -> float:
-        return float(self.per_query["latency"].mean())
 
 
 def initial_assignment(net: RoadNetwork, k: int, name: str) -> Assignment:
@@ -235,14 +231,14 @@ def run_experiment(
     the batch priced from the workers' reports under the assignment in
     force; if repartitioning, *plan* with Q-cut, move at a global barrier
     during the batch (running queries' scopes move mid-flight; their
-    remaining iterations run on the new assignment, priced again) and
+    remaining iterations run on the new assignment) and
     *monitor* the batch's locality and workload. Only :class:`TraceStats`
     reads the trace. ``spark`` is unused: pricing runs no Spark job."""
     assignment = initial_assignment(net, cfg.k, cfg.initial)
     stats = TraceStats(trace)
     controller = AdaptiveController()
     batch_rows = []
-    query_rows = []
+    query_cols = []  # per batch: its qid, batch, latency, locality columns
     qcut_runs: list[QcutResult] = []
     try:
         for batch, qs in queries_by_batch(queries).items():
@@ -281,7 +277,7 @@ def run_experiment(
                     mode=cfg.barrier,
                 )
             # monitor: the stats piggybacked on the batch's barriers
-            controller.observe_batch(batch, res.locality, res.worker_totals)
+            controller.observe_batch(batch, res.qids, res.locality, res.worker_totals)
             batch_rows.append(
                 {
                     "batch": batch,
@@ -295,20 +291,13 @@ def run_experiment(
                     "moved_vertices": moved,
                 }
             )
-            query_rows.append(
-                pd.DataFrame(
-                    {
-                        "qid": res.latencies.index,
-                        "batch": batch,
-                        "latency": res.latencies.values,
-                        "locality": res.locality.values,
-                    }
-                )
-            )
+            query_cols.append((res.qids, np.full(len(res.qids), batch, dtype=np.int64),
+                               res.latencies, res.locality))
         return ExperimentResult(
             config=cfg,
             per_batch=pd.DataFrame(batch_rows),
-            per_query=pd.concat(query_rows, ignore_index=True),
+            per_query=pd.DataFrame(dict(zip(("qid", "batch", "latency", "locality"),
+                                            map(np.concatenate, zip(*query_cols))))),
             final_assignment=assignment,
             qcut_runs=qcut_runs,
         )

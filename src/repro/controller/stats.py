@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.cluster.assignment import Assignment
 from repro.core.qcut import QcutInput
-from repro.engine.trace import Trace
+from repro.engine.trace import Trace, qid_rows
 
 
 def _group_count(columns: dict[str, np.ndarray], count: str) -> dict[str, np.ndarray]:
@@ -66,16 +66,11 @@ class TraceStats:
 
     @staticmethod
     def _select(cols: dict[str, np.ndarray], qids) -> dict[str, np.ndarray]:
-        """The rows of the queries ``qids``, each selected once; every row
-        if ``qids`` is None. A query's rows are the slice of its qid in the
-        sorted qid column; the slices of ascending qids ascend, so the rows
-        keep their trace order."""
+        """The rows of the queries ``qids`` in trace order, each selected
+        once; every row if ``qids`` is None."""
         if qids is None:
             return cols
-        q = np.unique(np.asarray(list(qids), dtype=np.int64))
-        lo = np.searchsorted(cols["qid"], q)
-        n = np.searchsorted(cols["qid"], q, side="right") - lo
-        rows = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+        rows = qid_rows(cols["qid"], qids)
         return {c: v[rows] for c, v in cols.items()}
 
     # -- worker reports -------------------------------------------------------

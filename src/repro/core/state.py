@@ -45,10 +45,6 @@ class QcutState:
             for c in range(ls.shape[0])
         ]
 
-    @property
-    def n_clusters(self) -> int:
-        return self.ls.shape[0]
-
     def copy(self) -> "QcutState":
         new = object.__new__(QcutState)
         new.ls = self.ls.copy()

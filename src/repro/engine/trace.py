@@ -30,6 +30,17 @@ CACHE_DIR = os.environ.get(
 TRACE_VERSION = 2
 
 
+def qid_rows(qid: np.ndarray, qids) -> np.ndarray:
+    """Positions, ascending, of the rows of the queries ``qids`` in the
+    sorted qid column ``qid``, each row once. A query's rows are the slice
+    of its qid; the slices of ascending qids ascend, so the rows keep their
+    order."""
+    q = np.unique(np.asarray(list(qids), dtype=np.int64))
+    lo = np.searchsorted(qid, q)
+    n = np.searchsorted(qid, q, side="right") - lo
+    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+
+
 @dataclass
 class Trace:
     """Record of one multi-query BSP run.
@@ -42,6 +53,8 @@ class Trace:
     ``truncated``: the sorted qids still active after the last superstep
     the engine was allowed (``max_iters``); empty for a complete trace. It
     is not saved: only complete traces are cached.
+
+    Every frame is sorted by qid first (``run_queries`` writes them so).
     """
 
     activations: pd.DataFrame
@@ -50,14 +63,12 @@ class Trace:
     truncated: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     def restrict(self, qids) -> "Trace":
-        """Sub-trace containing only the given queries."""
-        qs = set(int(q) for q in qids)
-        return Trace(
-            activations=self.activations[self.activations["qid"].isin(qs)].copy(),
-            messages=self.messages[self.messages["qid"].isin(qs)].copy(),
-            final=self.final[self.final["qid"].isin(qs)].copy(),
-            truncated=self.truncated[np.isin(self.truncated, list(qs))],
-        )
+        """Sub-trace containing only the given queries; rows keep their
+        order and index labels."""
+        qids = list(qids)
+        act, msg, fin = (df.iloc[qid_rows(df["qid"].to_numpy(), qids)].copy()
+                         for df in (self.activations, self.messages, self.final))
+        return Trace(act, msg, fin, truncated=self.truncated[qid_rows(self.truncated, qids)])
 
     def save(self, path: str) -> None:
         os.makedirs(path, exist_ok=True)

@@ -45,9 +45,12 @@ class TableResult:
     extras: dict = field(default_factory=dict)
 
     def show(self) -> str:
-        head = f"== {self.table}: {self.title} =="
-        body = self.rows.to_string(index=False)
-        return "\n".join([head, body] + ([f"note: {self.notes}"] if self.notes else []))
+        lines = [f"== {self.table}: {self.title} ==", self.rows.to_string(index=False)]
+        if self.notes:
+            lines.append(f"note: {self.notes}")
+        if "summary" in self.extras:
+            lines += ["-- summary --", self.extras["summary"].to_string(index=False)]
+        return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------

@@ -20,10 +20,12 @@ exactly the paper's query-latency definition (last minus first activation
 time) under the simulated clock.
 
 :func:`simulate_batch_switch` prices a batch whose vertex assignment changes
-at a *global STOP/START barrier* mid-execution (paper §3.3 phase 3 + §3.4):
-ticks before the switch are priced under the old assignment, ticks after
-under the new one, and every query live at the switch pays the global
-barrier plus the vertex-shipping overhead.
+at a *global STOP/START barrier* mid-execution (paper §3.3 phase 3 + §3.4)
+in one pass over the reports spliced at the switch: the old assignment's
+rows of the ticks before it and the new one's of the ticks after, each in
+their order, so every tick sums the same rows in the same order as a full
+pricing under its assignment would. Every query live at the switch pays
+the global barrier plus the vertex-shipping overhead.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-import pandas as pd
 
 from repro.cluster.costmodel import CostModel
 
@@ -42,10 +43,11 @@ BarrierMode = Literal["hybrid", "global"]
 class BatchSimResult:
     """Simulated execution of one batch of parallel queries."""
 
-    latencies: pd.Series        # qid -> simulated query latency
-    locality: pd.Series         # qid -> fraction of fully-local iterations
+    qids: np.ndarray            # the batch's queries, ascending
+    latencies: np.ndarray       # simulated latency of each query
+    locality: np.ndarray        # fraction of fully-local iterations of each
     imbalance: float            # mean relative deviation of active-vertex load
-    worker_active: np.ndarray   # (k, T) active vertices per worker per tick
+    worker_totals: np.ndarray   # (k,) active vertices per worker over the batch
 
     @property
     def avg_latency(self) -> float:
@@ -58,11 +60,6 @@ class BatchSimResult:
     @property
     def avg_locality(self) -> float:
         return float(self.locality.mean())
-
-    @property
-    def worker_totals(self) -> np.ndarray:
-        """Active vertices per worker summed over the batch (workload)."""
-        return self.worker_active.sum(axis=1)
 
 
 def imbalance(totals: np.ndarray) -> float:
@@ -144,17 +141,15 @@ def _result(
     qids: np.ndarray, dur: np.ndarray, group_size: np.ndarray, AV: np.ndarray
 ) -> BatchSimResult:
     live = group_size > 0
-    latencies = pd.Series(dur.sum(axis=1), index=pd.Index(qids, name="qid"))
-    loc = (group_size == 1).sum(axis=1) / np.maximum(live.sum(axis=1), 1)
-    locality = pd.Series(loc, index=pd.Index(qids, name="qid"))
-
     # Paper Fig. 6e: workload = active vertices per worker in a time window
     # (60 s there, one batch here).
+    totals = AV.sum(axis=1)
     return BatchSimResult(
-        latencies=latencies,
-        locality=locality,
-        imbalance=imbalance(AV.sum(axis=1)),
-        worker_active=AV,
+        qids=qids,
+        latencies=dur.sum(axis=1),
+        locality=(group_size == 1).sum(axis=1) / np.maximum(live.sum(axis=1), 1),
+        imbalance=imbalance(totals),
+        worker_totals=totals,
     )
 
 
@@ -198,20 +193,26 @@ def simulate_batch_switch(
     The four inputs are reports as in :func:`simulate_batch`, each pair
     taken under the assignment before and after the switch. Ticks <
     ``switch_tick`` use the *before* reports, ticks >= use *after*. The
-    batch's queries are those of ``ac_before``. Every query still live at
-    the switch additionally pays ``switch_overhead`` (the global STOP/START
-    barrier + vertex shipping).
+    batch's queries are those of ``ac_before``; a row of another query in
+    any report is a ValueError, even one the splice drops. Both pairs come
+    from one trace, so a query is live in the same ticks under both. Every
+    query still live at the switch additionally pays ``switch_overhead``
+    (the global STOP/START barrier + vertex shipping).
     """
     if len(ac_before["qid"]) == 0:
         raise ValueError("batch has no activations")
     qids = np.unique(ac_before["qid"])
-    dur_b, gs_b, av_b = _price(ac_before, mc_before, qids, k=k, cost=cost, mode=mode)
-    dur_a, gs_a, av_a = _price(ac_after, mc_after, qids, k=k, cost=cost, mode=mode)
-    T = dur_b.shape[1]
+    for report in (mc_before, ac_after, mc_after):
+        _rows(qids, report["qid"])  # also the rows the splice drops
+    T = int(ac_before["iter"].max()) + 1
     s = int(min(max(switch_tick, 0), T))
-    dur = np.concatenate([dur_b[:, :s], dur_a[:, s:]], axis=1)
-    group_size = np.concatenate([gs_b[:, :s], gs_a[:, s:]], axis=1)
-    AV = np.concatenate([av_b[:, :s], av_a[:, s:]], axis=1)
-    live_at_switch = (gs_b[:, s:] > 0).any(axis=1) if s < T else np.zeros(len(qids), bool)
-    dur[live_at_switch, s if s < T else T - 1] += switch_overhead
+
+    def splice(before, after):
+        b, a = before["iter"] < s, after["iter"] >= s
+        return {c: np.concatenate([before[c][b], after[c][a]]) for c in before}
+
+    dur, group_size, AV = _price(splice(ac_before, ac_after), splice(mc_before, mc_after),
+                                 qids, k=k, cost=cost, mode=mode)
+    if s < T:
+        dur[(group_size[:, s:] > 0).any(axis=1), s] += switch_overhead
     return _result(qids, dur, group_size, AV)

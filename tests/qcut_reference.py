@@ -44,7 +44,7 @@ def local_search(state: QcutState) -> QcutState:
     for _ in range(10_000):
         best_delta = 0.0
         best_move = None
-        for c in range(state.n_clusters):
+        for c in range(len(state.ls)):
             nz = np.flatnonzero(state.ls[c] > 0)
             if len(nz) < 2:
                 continue

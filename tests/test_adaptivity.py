@@ -1,7 +1,6 @@
 """MAPE-loop adaptivity policy (paper §3.4), at the shipped constants:
 Φ = 0.7, trigger 2δ = 0.5, a 6-batch window, at least 48 window queries."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.controller.adaptivity import (
@@ -18,7 +17,8 @@ BALANCED = np.array([1.0, 1.0])
 
 
 def _loc(qids, value):
-    return pd.Series([value] * len(qids), index=pd.Index(qids, name="qid"))
+    """(qids, locality) of a batch whose queries all have locality ``value``."""
+    return np.array(qids, dtype=np.int64), np.full(len(qids), float(value))
 
 
 def _batch_qids(batch, n=16):
@@ -29,7 +29,7 @@ def _ctrl(n_batches, locality, totals=BALANCED, n=16):
     """A controller that observed batches 0..n_batches-1 of ``n`` queries."""
     c = AdaptiveController()
     for b in range(n_batches):
-        c.observe_batch(b, _loc(_batch_qids(b, n), locality), totals)
+        c.observe_batch(b, *_loc(_batch_qids(b, n), locality), totals)
     return c
 
 
@@ -47,8 +47,8 @@ class TestWindow:
 
     def test_window_locality_mean(self):
         c = AdaptiveController()
-        c.observe_batch(0, _loc([1, 2], 0.2), BALANCED)
-        c.observe_batch(1, _loc([3, 4], 0.6), BALANCED)
+        c.observe_batch(0, *_loc([1, 2], 0.2), BALANCED)
+        c.observe_batch(1, *_loc([3, 4], 0.6), BALANCED)
         assert c.window_locality(1) == pytest.approx(0.4)
         # batch 0 leaves the window once WINDOW_BATCHES newer batches exist
         assert c.window_locality(WINDOW_BATCHES) == pytest.approx(0.6)
@@ -59,13 +59,13 @@ class TestWindow:
     def test_window_imbalance_sums_before_deviation(self):
         c = AdaptiveController()
         # alternating hot workers: individually imbalanced, summed balanced
-        c.observe_batch(0, _loc([1], 1.0), np.array([10.0, 0.0]))
-        c.observe_batch(1, _loc([2], 1.0), np.array([0.0, 10.0]))
+        c.observe_batch(0, *_loc([1], 1.0), np.array([10.0, 0.0]))
+        c.observe_batch(1, *_loc([2], 1.0), np.array([0.0, 10.0]))
         assert c.window_imbalance(1) == pytest.approx(0.0)
 
     def test_window_imbalance_hot_worker(self):
         c = AdaptiveController()
-        c.observe_batch(0, _loc([1], 1.0), np.array([10.0, 0.0]))
+        c.observe_batch(0, *_loc([1], 1.0), np.array([10.0, 0.0]))
         assert c.window_imbalance(0) == pytest.approx(1.0)
 
     def test_window_imbalance_empty(self):
@@ -96,15 +96,15 @@ class TestTrigger:
         c = _ctrl(4, 0.0)
         c.repartitioned(3)
         assert not c.should_repartition(3)
-        c.observe_batch(4, _loc(_batch_qids(4), 0.0), BALANCED)
+        c.observe_batch(4, *_loc(_batch_qids(4), 0.0), BALANCED)
         assert c.should_repartition(4)
 
     def test_min_window_queries_gate(self):
         c = _ctrl(2, 0.0)
         assert not c.should_repartition(1)  # 32 queries of stats
-        c.observe_batch(2, _loc(list(range(32, 47)), 0.0), BALANCED)
+        c.observe_batch(2, *_loc(list(range(32, 47)), 0.0), BALANCED)
         assert not c.should_repartition(2)  # 47
-        c.observe_batch(3, _loc([47], 0.0), BALANCED)
+        c.observe_batch(3, *_loc([47], 0.0), BALANCED)
         assert c.should_repartition(3)      # 48
 
     def test_defaults_match_paper(self):

@@ -26,6 +26,9 @@ def _mc(rows):
 
 EMPTY_MC = _mc([])
 
+# A result lists its queries by ascending qid: in the batches below, qid 1
+# is position 0 and qid 2 position 1.
+
 
 class TestLocalQuery:
     """One query fully local on worker 0 — local barriers are free."""
@@ -35,21 +38,21 @@ class TestLocalQuery:
             _ac([(1, 0, 0, 1), (1, 1, 0, 2)]), EMPTY_MC, k=2, cost=COST
         )
         # iter0: 2*1 + 0 + 1 = 3 ; iter1: 2*2 + 0 + 1 = 5
-        assert res.latencies.loc[1] == pytest.approx(8.0)
+        assert res.latencies[0] == pytest.approx(8.0)
 
     def test_perfect_locality(self):
         res = simulate_batch(
             _ac([(1, 0, 0, 1), (1, 1, 0, 2)]), EMPTY_MC, k=2, cost=COST
         )
-        assert res.locality.loc[1] == 1.0
+        assert res.locality[0] == 1.0
 
     def test_local_messages_priced_on_owner(self):
         res = simulate_batch(
             _ac([(1, 0, 0, 1)]), _mc([(1, 0, 0, 0, 4)]), k=2, cost=COST
         )
         # 2*1 compute + 4*0.5 local msgs + floor
-        assert res.latencies.loc[1] == pytest.approx(2 + 2 + 1)
-        assert res.locality.loc[1] == 1.0
+        assert res.latencies[0] == pytest.approx(2 + 2 + 1)
+        assert res.locality[0] == 1.0
 
 
 class TestRemoteQuery:
@@ -59,8 +62,8 @@ class TestRemoteQuery:
         )
         # L[0] = 2 (compute) + 2*0.5 (send half) = 3 ; L[1] = 1 (recv half)
         # dur = max(3,1) + barrier(2)=8+4 + floor = 16
-        assert res.latencies.loc[1] == pytest.approx(16.0)
-        assert res.locality.loc[1] == 0.0
+        assert res.latencies[0] == pytest.approx(16.0)
+        assert res.locality[0] == 0.0
 
     def test_group_includes_message_receiver(self):
         res = simulate_batch(
@@ -68,7 +71,7 @@ class TestRemoteQuery:
         )
         # L[0] = 2 + 0.5 = 2.5 ; the group is {sender, receiver}: barrier(2)
         # = 8+4 = 12, not barrier(4) = 16 ; dur = 2.5 + 12 + 1
-        assert res.latencies.loc[1] == pytest.approx(15.5)
+        assert res.latencies[0] == pytest.approx(15.5)
 
 
 class TestContention:
@@ -78,20 +81,21 @@ class TestContention:
         ac = _ac([(1, 0, 0, 5), (2, 0, 0, 5)])
         res = simulate_batch(ac, EMPTY_MC, k=2, cost=COST)
         # both queries wait for L[0] = 2*(5+5) = 20, plus floor
-        assert res.latencies.loc[1] == pytest.approx(21.0)
-        assert res.latencies.loc[2] == pytest.approx(21.0)
+        assert res.qids.tolist() == [1, 2]
+        assert res.latencies[0] == pytest.approx(21.0)
+        assert res.latencies[1] == pytest.approx(21.0)
 
     def test_separate_workers_no_contention(self):
         ac = _ac([(1, 0, 0, 5), (2, 0, 1, 5)])
         res = simulate_batch(ac, EMPTY_MC, k=2, cost=COST)
-        assert res.latencies.loc[1] == pytest.approx(11.0)
-        assert res.latencies.loc[2] == pytest.approx(11.0)
+        assert res.latencies[0] == pytest.approx(11.0)
+        assert res.latencies[1] == pytest.approx(11.0)
 
     def test_finished_query_stops_paying(self):
         ac = _ac([(1, 0, 0, 1), (2, 0, 1, 1), (2, 1, 1, 1)])
         res = simulate_batch(ac, EMPTY_MC, k=2, cost=COST)
-        assert res.latencies.loc[1] == pytest.approx(3.0)   # one tick only
-        assert res.latencies.loc[2] == pytest.approx(6.0)
+        assert res.latencies[0] == pytest.approx(3.0)   # one tick only
+        assert res.latencies[1] == pytest.approx(6.0)
 
 
 class TestGlobalBarrierMode:
@@ -99,14 +103,14 @@ class TestGlobalBarrierMode:
         ac = _ac([(1, 0, 0, 1), (2, 0, 1, 10)])
         res = simulate_batch(ac, EMPTY_MC, k=4, cost=COST, mode="global")
         # tick = max L = 20, + barrier(4)=8+8=16, + floor = 37 — for BOTH
-        assert res.latencies.loc[1] == pytest.approx(37.0)
-        assert res.latencies.loc[2] == pytest.approx(37.0)
+        assert res.latencies[0] == pytest.approx(37.0)
+        assert res.latencies[1] == pytest.approx(37.0)
 
     def test_global_slower_than_hybrid_for_local_queries(self):
         ac = _ac([(1, 0, 0, 2), (1, 1, 0, 2)])
         hyb = simulate_batch(ac, EMPTY_MC, k=8, cost=COST, mode="hybrid")
         glo = simulate_batch(ac, EMPTY_MC, k=8, cost=COST, mode="global")
-        assert glo.latencies.loc[1] > hyb.latencies.loc[1]
+        assert glo.latencies[0] > hyb.latencies[0]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -118,7 +122,7 @@ class TestMetrics:
         ac = _ac([(1, 0, 0, 1), (1, 1, 0, 1)])
         mc = _mc([(1, 0, 0, 1, 1)])  # iter 0 crosses workers, iter 1 local
         res = simulate_batch(ac, mc, k=2, cost=COST)
-        assert res.locality.loc[1] == pytest.approx(0.5)
+        assert res.locality[0] == pytest.approx(0.5)
 
     def test_imbalance_balanced(self):
         ac = _ac([(1, 0, 0, 5), (1, 0, 1, 5)])
@@ -156,12 +160,19 @@ class TestMetrics:
             simulate_batch(_ac([(1, 0, 0, 1), (3, 0, 1, 1)]),
                            _mc([(7, 0, 0, 1, 1)]), k=2, cost=COST)
 
-    def test_activation_of_query_outside_batch_rejected(self):
-        # the batch's qids are those of the reports before the switch
+    @pytest.mark.parametrize("foreign", ["ac_after", "mc_after", "mc_before"])
+    def test_activation_of_query_outside_batch_rejected(self, foreign):
+        """The batch's qids are those of ``ac_before``; a row of query 2 is
+        rejected in any other report, also where the splice at the switch
+        would drop it: an *after* row before tick 1, a *before* row after."""
+        reports = {"ac_before": _ac([(1, 0, 0, 1), (1, 1, 0, 1)]), "mc_before": EMPTY_MC,
+                   "ac_after": _ac([(1, 0, 0, 1), (1, 1, 0, 1)]), "mc_after": EMPTY_MC}
+        reports[foreign] = {"ac_after": _ac([(1, 0, 0, 1), (2, 0, 0, 1), (1, 1, 0, 1)]),
+                            "mc_after": _mc([(2, 0, 0, 1, 1)]),
+                            "mc_before": _mc([(2, 1, 0, 1, 1)])}[foreign]
         with pytest.raises(ValueError, match=r"outside the batch: \[2\]"):
             simulate_batch_switch(
-                _ac([(1, 0, 0, 1)]), EMPTY_MC, _ac([(2, 0, 0, 1)]), EMPTY_MC,
-                switch_tick=1, switch_overhead=0.0, k=2, cost=COST,
+                *reports.values(), switch_tick=1, switch_overhead=0.0, k=2, cost=COST,
             )
 
 
@@ -178,8 +189,8 @@ class TestSwitch:
             switch_tick=1, switch_overhead=0.0, k=2, cost=COST,
         )
         # tick0 (before): max(2+1, 1) + 12 + 1 = 16 ; tick1 (after): 2+1 = 3
-        assert res.latencies.loc[1] == pytest.approx(19.0)
-        assert res.locality.loc[1] == pytest.approx(0.5)
+        assert res.latencies[0] == pytest.approx(19.0)
+        assert res.locality[0] == pytest.approx(0.5)
 
     def test_overhead_charged_to_live_queries_only(self):
         ac = _ac([(1, 0, 0, 1), (2, 0, 1, 1), (2, 1, 1, 1)])
@@ -187,8 +198,8 @@ class TestSwitch:
             ac, EMPTY_MC, ac, EMPTY_MC,
             switch_tick=1, switch_overhead=100.0, k=2, cost=COST,
         )
-        assert res.latencies.loc[1] == pytest.approx(3.0)      # finished before
-        assert res.latencies.loc[2] == pytest.approx(6.0 + 100.0)
+        assert res.latencies[0] == pytest.approx(3.0)      # finished before
+        assert res.latencies[1] == pytest.approx(6.0 + 100.0)
 
     def test_switch_at_zero_prices_everything_after(self):
         ac = _ac([(1, 0, 0, 1)])
@@ -196,7 +207,7 @@ class TestSwitch:
             ac, _mc([(1, 0, 0, 1, 2)]), ac, EMPTY_MC,
             switch_tick=0, switch_overhead=0.0, k=2, cost=COST,
         )
-        assert res.locality.loc[1] == 1.0
+        assert res.locality[0] == 1.0
 
     def test_switch_beyond_end_is_noop(self):
         ac = _ac([(1, 0, 0, 1)])
@@ -205,4 +216,4 @@ class TestSwitch:
             ac, EMPTY_MC, ac, EMPTY_MC,
             switch_tick=99, switch_overhead=50.0, k=2, cost=COST,
         )
-        assert sw.latencies.loc[1] == pytest.approx(plain.latencies.loc[1])
+        assert sw.latencies[0] == pytest.approx(plain.latencies[0])

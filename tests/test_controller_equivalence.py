@@ -78,7 +78,7 @@ def test_matches_reference(seed):
         if decision or rng.random() < 0.1:
             new.repartitioned(batch)
             ref.repartitioned(batch)
-        new.observe_batch(batch, loc, totals)
+        new.observe_batch(batch, nxt, loc.to_numpy(), totals)
         ref.observe_batch(batch, loc, totals)
         for b in (batch, batch + 3, batch + 6):
             _check_window(new, ref, b, np.empty(0, np.int64))

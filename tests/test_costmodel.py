@@ -38,16 +38,6 @@ class TestPresets:
 
 
 class TestWith:
-    def test_with_overrides_one_field(self):
-        c = M2.with_(msg_remote=9.0)
-        assert c.msg_remote == 9.0
-        assert c.comp_per_vertex == M2.comp_per_vertex
-
-    def test_with_does_not_mutate(self):
-        before = M2.msg_remote
-        M2.with_(msg_remote=123.0)
-        assert M2.msg_remote == before
-
     def test_frozen(self):
         with pytest.raises(Exception):
             M2.msg_remote = 1.0

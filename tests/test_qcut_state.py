@@ -63,7 +63,7 @@ class TestMoveDelta:
         no-op and prices 0."""
         s = _state(ls)
         d = s.move_deltas()
-        assert d.shape == (s.n_clusters, s.k, s.k)
+        assert d.shape == (len(s.ls), s.k, s.k)
         for c, w, w2 in np.ndindex(d.shape):
             if w == w2:
                 continue
