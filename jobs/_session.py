@@ -28,18 +28,35 @@ def get_spark(app: str) -> SparkSession:
     return s
 
 
+RESULTS = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "results"))
+
+
+def result_paths(table: str) -> tuple[str, str]:
+    """``results/tNN.csv`` and ``results/tNN_summary.csv`` of table ``TN``."""
+    stem = os.path.join(RESULTS, f"t{int(table[1:]):02d}")
+    return f"{stem}.csv", f"{stem}_summary.csv"
+
+
+def write_results(result) -> None:
+    """Write a table's ``rows``, and its ``extras["summary"]`` where it has
+    one, under results/. pandas writes each float in its shortest exact
+    repr; read them back with ``float_precision="round_trip"``."""
+    rows_path, summary_path = result_paths(result.table)
+    os.makedirs(RESULTS, exist_ok=True)
+    result.rows.to_csv(rows_path, index=False)
+    if "summary" in result.extras:
+        result.extras["summary"].to_csv(summary_path, index=False)
+    print(f"rows written to {rows_path}", file=sys.stderr)
+
+
 def run_table(table: str) -> None:
-    """Run one table experiment, print it, and drop a CSV under results/."""
+    """Run one table experiment, print it, and write it under results/."""
     from repro.experiments import ALL_TABLES
 
     spark = get_spark(f"qgraph-{table}")
     try:
         result = ALL_TABLES[table](spark)
         print(result.show())
-        out = os.path.join(os.path.dirname(__file__), "..", "results")
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, f"{table.lower()}.csv")
-        result.rows.to_csv(path, index=False)
-        print(f"rows written to {path}", file=sys.stderr)
+        write_results(result)
     finally:
         spark.stop()
