@@ -20,7 +20,6 @@ from pyspark.sql import SparkSession  # noqa: E402
 def get_spark(app: str) -> SparkSession:
     s = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "16")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .getOrCreate()
     )

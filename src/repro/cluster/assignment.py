@@ -24,10 +24,6 @@ class Assignment:
         if len(w) and (w.min() < 0 or w.max() >= self.k):
             raise ValueError("worker id out of range")
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.workers)
-
     def worker_of(self, vids) -> np.ndarray:
         """Vectorized lookup: worker id for each vid."""
         return self.workers[np.asarray(vids, dtype=np.int64)]

@@ -63,15 +63,9 @@ class ExperimentConfig:
     cost: CostModel = M2
     seed: int = 0
 
-    @property
-    def name(self) -> str:
-        base = f"qcut+{self.initial}" if self.adaptive else self.initial
-        return f"{base}/{self.barrier}/k={self.k}"
-
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     per_batch: pd.DataFrame   # batch-level metrics
     per_query: pd.DataFrame   # (qid, batch, latency, locality)
     final_assignment: Assignment
@@ -294,7 +288,6 @@ def run_experiment(
             query_cols.append((res.qids, np.full(len(res.qids), batch, dtype=np.int64),
                                res.latencies, res.locality))
         return ExperimentResult(
-            config=cfg,
             per_batch=pd.DataFrame(batch_rows),
             per_query=pd.DataFrame(dict(zip(("qid", "batch", "latency", "locality"),
                                             map(np.concatenate, zip(*query_cols))))),

@@ -18,6 +18,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -25,9 +26,11 @@ import pandas as pd
 CACHE_DIR = os.environ.get(
     "REPRO_TRACE_CACHE", os.path.join(os.path.dirname(__file__), "..", "..", "..", ".trace_cache")
 )
-# Part of every cache key: bump it when the engine's semantics or the
-# parquet layout change, so that no stale trace is re-priced.
+# Part of every cache key: bump it when the parquet layout or engine
+# semantics outside ENGINE_SOURCES change, so that no stale trace is re-priced.
 TRACE_VERSION = 2
+# The engine source a trace depends on, hashed into every workload key.
+ENGINE_SOURCES = tuple(Path(__file__).with_name(f) for f in ("kernel.py", "vertex_programs.py"))
 
 
 def qid_rows(qid: np.ndarray, qids) -> np.ndarray:
@@ -86,12 +89,18 @@ class Trace:
 
 
 def workload_key(net, queries) -> str:
-    """Cache key derived from graph identity and full query content, so any
-    change to generators or workloads invalidates the cached trace."""
-    desc = f"{net.name}|{net.seed}|{net.n_vertices}|{net.n_edges}|" + ";".join(
-        f"{q.qid},{q.kind},{q.start},{q.end},{q.batch}" for q in queries
-    )
-    return hashlib.sha256(desc.encode()).hexdigest()
+    """Cache key derived from everything a trace depends on: the graph (its
+    identity, CSR edges with weights, and POI-tagged vids), the full query
+    content, and the source of the engine's kernel and vertex programs. Any
+    change to generators, workloads or engine semantics invalidates the
+    cached trace."""
+    h = hashlib.sha256(f"{net.name}|{net.seed}|{net.n_vertices}|{net.n_edges}|".encode())
+    for a in (*net.csr, net.vertices.loc[net.vertices["tag"], "vid"].to_numpy(np.int64)):
+        h.update(a.tobytes())
+    for path in ENGINE_SOURCES:
+        h.update(path.read_bytes())
+    h.update(";".join(f"{q.qid},{q.kind},{q.start},{q.end},{q.batch}" for q in queries).encode())
+    return h.hexdigest()
 
 
 def cached_trace(key: str, builder) -> Trace:

@@ -18,9 +18,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Assignment(workers=np.array([0, -1]), k=4)
 
-    def test_n_vertices(self):
-        assert _mk(10).n_vertices == 10
-
 
 class TestLookup:
     def test_worker_of_vectorized(self):

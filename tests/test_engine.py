@@ -1,6 +1,7 @@
 """BSP engine correctness vs Dijkstra and the frontier replay, trace
 invariants, query independence, truncation, shipping the kernel to workers
 and the engine's Spark job count."""
+import dataclasses
 import importlib.util
 import os
 import pickle
@@ -321,3 +322,23 @@ class TestWorkloadKey:
     def test_key_depends_on_graph(self, workload):
         other = tiny_grid(seed=99)
         assert workload_key(tiny_grid(), workload) != workload_key(other, workload)
+
+    @pytest.mark.parametrize("change", ["edge_weight", "poi_tag", "kernel_source"])
+    def test_key_depends_on_trace_inputs(self, net, workload, change, tmp_path, monkeypatch):
+        """One edge weight, one POI tag or one edit of the engine's kernel
+        source makes a new key, though the graph's name, seed and sizes stay."""
+        before = workload_key(net, workload)
+        if change == "edge_weight":
+            edges = net.edges.copy()
+            edges.loc[0, "w"] += 1.0
+            net = dataclasses.replace(net, edges=edges)
+        elif change == "poi_tag":
+            vertices = net.vertices.copy()
+            vertices.loc[0, "tag"] = not vertices.loc[0, "tag"]
+            net = dataclasses.replace(net, vertices=vertices)
+        else:
+            kernel, *rest = trace_mod.ENGINE_SOURCES
+            edited = tmp_path / "kernel.py"
+            edited.write_bytes(kernel.read_bytes() + b"\n# edited\n")
+            monkeypatch.setattr(trace_mod, "ENGINE_SOURCES", (edited, *rest))
+        assert workload_key(net, workload) != before

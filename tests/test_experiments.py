@@ -5,6 +5,8 @@ import pandas as pd
 import pytest
 
 import repro.engine.trace as trace_mod
+import repro.experiments as experiments
+from repro.controller.simulator import run_experiment
 from repro.engine.trace import Trace, cached_trace
 from repro.experiments import (
     ALL_TABLES,
@@ -97,3 +99,29 @@ class TestTraceCache:
         assert got.activations.equals(t.activations)
         assert cached_trace("k", builder).final.equals(t.final)
         assert len(builds) == 2
+
+
+class TestPhase1Memo:
+    def test_t7_t8_are_views_over_t3(self, spark, monkeypatch):
+        """T3 prices the BW phase-1 workload under the four strategies and
+        LDG; T7 and T8 then price nothing, and their tail means are T3's
+        tail columns to the last bit."""
+        monkeypatch.setattr(experiments, "_PHASE1", {})
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_experiment", counted)
+        tables, made = {}, {}
+        for name in ("T3", "T7", "T8"):
+            before = len(calls)
+            tables[name] = ALL_TABLES[name](spark)
+            made[name] = len(calls) - before
+        assert made == {"T3": 5, "T7": 0, "T8": 0}
+        t3 = tables["T3"].rows.set_index("strategy")
+        for name, column in (("T7", "imbalance_tail"), ("T8", "locality_tail")):
+            tail = tables[name].extras["summary"].set_index("strategy")["tail_mean"]
+            assert len(tail) == 4
+            assert (tail == t3.loc[tail.index, column]).all()

@@ -146,7 +146,7 @@ class TestInitialAssignment:
     def test_dispatch(self, net):
         for name in ("hash", "domain", "ldg"):
             a = initial_assignment(net, 3, name)
-            assert a.k == 3 and a.n_vertices == net.n_vertices
+            assert a.k == 3 and len(a.workers) == net.n_vertices
 
     def test_unknown_rejected(self, net):
         with pytest.raises(ValueError):

@@ -64,7 +64,7 @@ def _restriction_sql(qids, iter_lt=None, table="a") -> str:
 
 def _assign(assignment) -> pd.DataFrame:
     """The (vid, worker) table of an assignment."""
-    return pd.DataFrame({"vid": np.arange(assignment.n_vertices), "worker": assignment.workers})
+    return pd.DataFrame({"vid": np.arange(len(assignment.workers)), "worker": assignment.workers})
 
 
 def _ls_rows(inp) -> pd.DataFrame:
