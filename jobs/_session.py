@@ -27,7 +27,7 @@ def get_spark(app: str) -> SparkSession:
     return s
 
 
-RESULTS = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "results"))
+RESULTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "results")
 
 
 def result_paths(table: str) -> tuple[str, str]:

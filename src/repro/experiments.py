@@ -106,7 +106,7 @@ def _strategies(k: int, cost, *, seed: int = 0) -> dict[str, ExperimentConfig]:
     }
 
 
-def _run_all(spark, net, queries, trace, configs) -> dict[str, ExperimentResult]:
+def _run_all(spark, net, queries, trace, configs: dict) -> dict:
     return {name: run_experiment(spark, net, queries, trace, cfg)
             for name, cfg in configs.items()}
 
@@ -249,13 +249,10 @@ def table_t06(spark: SparkSession) -> TableResult:
     net = bw_lite()
     queries = sssp_workload(net, seed=45, n=N_BARRIER)
     trace = trace_for(spark, net, queries)
-    totals = {}
-    for initial in ("hash", "domain"):
-        for barrier in ("global", "hybrid"):
-            cfg = ExperimentConfig(k=8, initial=initial, barrier=barrier, cost=M1)
-            totals[(initial, barrier)] = run_experiment(
-                spark, net, queries, trace, cfg
-            ).total_latency
+    configs = {(i, b): ExperimentConfig(k=8, initial=i, barrier=b, cost=M1)
+               for i in ("hash", "domain") for b in ("global", "hybrid")}
+    totals = {key: r.total_latency
+              for key, r in _run_all(spark, net, queries, trace, configs).items()}
     rows = pd.DataFrame(
         [
             {"partitioning": i, "barrier": b, "total_latency": v}
