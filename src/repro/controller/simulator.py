@@ -106,15 +106,13 @@ def _exclusive_cluster_of(
     cl = cluster_of[qid]
     hit = cl >= 0
     vid, cl = scope["vid"][hit], cl[hit]
-    # activations per (vid, cluster), then the most-activating cluster per vid
-    keys, inv = np.unique(vid * len(clusters) + cl, return_inverse=True)
-    n = np.bincount(inv, weights=scope["n_active"][hit], minlength=len(keys))
-    vid, cl = np.divmod(keys, len(clusters))
-    order = np.lexsort((cl, -n, vid))
-    vid, cl = vid[order], cl[order]
-    first = np.ones(len(vid), dtype=bool)
-    first[1:] = vid[1:] != vid[:-1]
-    return vid[first], cl[first]
+    # activations per (vid, cluster) in a dense table, then the first
+    # most-activating cluster of every vid that has a row
+    n_v, n_c = int(vid.max(initial=-1)) + 1, len(clusters)
+    n = np.bincount(vid * n_c + cl, weights=scope["n_active"][hit],
+                    minlength=n_v * n_c).reshape(n_v, n_c)
+    vids = np.flatnonzero(np.bincount(vid, minlength=n_v))
+    return vids, n[vids].argmax(axis=1)
 
 
 def _residual_sweeps(workers: np.ndarray, free: np.ndarray, net: RoadNetwork, k: int) -> None:
@@ -133,8 +131,12 @@ def _residual_sweeps(workers: np.ndarray, free: np.ndarray, net: RoadNetwork, k:
     indptr, dst, _ = net.csr
     src = np.repeat(np.arange(len(workers)), np.diff(indptr))
     counts = np.bincount(src * k + workers[dst], minlength=len(workers) * k).reshape(-1, k)
-    unstable = counts.max(axis=1) > counts[np.arange(len(workers)), workers]
-    todo = np.flatnonzero(free & unstable).tolist()
+    todo = np.flatnonzero(free)
+    todo = todo[counts[todo].max(axis=1) > counts[todo, workers[todo]]].tolist()
+    if not todo:
+        return
+    # the sweeps run on Python lists; the labels are written back once
+    nbrs, label, is_free = net.out_neighbours, workers.tolist(), free.tolist()
     for _ in range(_RESIDUAL_SWEEPS):
         if not todo:
             break
@@ -143,19 +145,24 @@ def _residual_sweeps(workers: np.ndarray, free: np.ndarray, net: RoadNetwork, k:
         heapq.heapify(todo)
         while todo:
             v = heapq.heappop(todo)
-            nb = dst[indptr[v]:indptr[v + 1]]
-            c = np.bincount(workers[nb], minlength=k)
-            best = int(np.argmax(c))
-            if c[best] <= c[workers[v]]:
+            nb = nbrs[v]
+            c = [0] * k
+            for u in nb:
+                c[label[u]] += 1
+            top = max(c)
+            if top <= c[label[v]]:
                 continue
-            workers[v] = best
-            for u in nb[free[nb]].tolist():
+            label[v] = c.index(top)  # the first majority worker, as argmax
+            for u in nb:
+                if not is_free[u]:
+                    continue
                 if u <= v:
                     nxt.add(u)
                 elif u not in queued:
                     queued.add(u)
                     heapq.heappush(todo, u)
         todo = sorted(nxt)
+    workers[:] = label
 
 
 def _apply_qcut_moves(

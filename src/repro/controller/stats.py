@@ -23,22 +23,36 @@ from repro.core.qcut import QcutInput
 from repro.engine.trace import Trace, qid_rows
 
 
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal entries of ``values``."""
+    new = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    start = np.flatnonzero(new)
+    size = np.empty_like(start)
+    size[:-1] = start[1:] - start[:-1]
+    size[-1:] = len(values) - start[-1:]
+    return start, size
+
+
 def _group_count(columns: dict[str, np.ndarray], count: str) -> dict[str, np.ndarray]:
     """``SELECT cols, count(*) AS count GROUP BY cols ORDER BY cols``.
 
-    The columns hold non-negative ids; each row is packed into one int64
-    in mixed radix, so the group-by is a single integer sort."""
+    The columns hold non-negative ids; each row is packed into one int64,
+    a bit field per column, so the group-by is a single integer sort."""
     cols = {c: np.asarray(v, dtype=np.int64) for c, v in columns.items()}
-    radix = {c: int(v.max(initial=0)) + 1 for c, v in cols.items()}
-    if np.prod(list(radix.values()), dtype=float) >= 2.0**63:
+    bits = {c: int(v.max(initial=0)).bit_length() for c, v in cols.items()}
+    if sum(bits.values()) > 63:
         raise OverflowError("group-by key does not fit in int64")
-    packed = np.zeros(len(next(iter(cols.values()))), dtype=np.int64)
+    packed = None
     for c, v in cols.items():
-        packed = packed * radix[c] + v
-    packed, n = np.unique(packed, return_counts=True)
+        packed = v if packed is None else (packed << bits[c]) | v
+    packed = np.sort(packed)
+    first, n = _runs(packed)
+    packed = packed[first]
     out = {}
     for c in reversed(cols):
-        packed, out[c] = np.divmod(packed, radix[c])
+        out[c] = packed & ((1 << bits[c]) - 1)
+        packed = packed >> bits[c]
     return {**{c: out[c] for c in cols}, count: n}
 
 
@@ -117,30 +131,29 @@ def qcut_input(scope_vertices: dict[str, np.ndarray], assignment: Assignment) ->
     """The Q-cut input for the queries of ``scope_vertices``.
 
     ``ls[i, w]`` = |LS(q_i, w)|, the scope vertices of query ``q_i`` on
-    worker ``w``; ``overlaps[(qa, qb)]`` (qa < qb) = |GS(qa) ∩ GS(qb)| for
-    every pair that shares a vertex. ``scope_vertices`` holds distinct
+    worker ``w``; ``overlaps`` = (qa, qb, shared) arrays with qa < qb and
+    shared = |GS(qa) ∩ GS(qb)| > 0, one entry for every pair that shares a
+    vertex, in (qa, qb) order. ``scope_vertices`` holds distinct
     (qid, vid) rows, as :meth:`TraceStats.scope_vertices` returns them.
 
-    Overlaps are counted as pairs of rows that share a vertex, in integer
-    numpy on the calling thread: no BLAS product, whose worker threads keep
-    spinning after the call returns."""
+    Overlaps are counted as pairs of rows that share a vertex: the rows are
+    ordered by vertex, every pair within a vertex's run of rows is listed
+    at once and the pairs are counted per query pair, in integer numpy on
+    the calling thread (no BLAS product, whose worker threads keep
+    spinning after the call returns)."""
     qids, qi = np.unique(scope_vertices["qid"], return_inverse=True)
-    vids, vi = np.unique(scope_vertices["vid"], return_inverse=True)
-    n = len(qids)
-    ls = np.zeros((n, assignment.k))
-    np.add.at(ls, (qi, assignment.worker_of(vids)[vi]), 1.0)
-    order = np.lexsort((qi, vi))  # by vertex, then query
-    qo, vo = qi[order], vi[order]
-    shared = np.zeros(n * n, dtype=np.int64)
-    # rows d apart in the same vertex run are one (qa < qb) pair; runs are
-    # contiguous, so the first d with no such rows ends the count
-    for d in range(1, len(vo)):
-        same = vo[d:] == vo[:-d]
-        if not same.any():
-            break
-        shared += np.bincount(qo[:-d][same] * n + qo[d:][same], minlength=n * n)
-    pairs = np.flatnonzero(shared)
-    overlaps = {(int(qids[a]), int(qids[b])): float(c)
-                for a, b, c in zip(pairs // n, pairs % n, shared[pairs])}
-    return QcutInput(qids=[int(q) for q in qids], ls=ls,
-                     vcounts=assignment.vertex_counts(), overlaps=overlaps)
+    vid = scope_vertices["vid"]
+    n, k = len(qids), assignment.k
+    ls = np.bincount(qi * k + assignment.worker_of(vid),
+                     minlength=n * k).reshape(n, k).astype(float)
+    order = np.lexsort((qi, vid))  # by vertex, then query
+    qo, vo = qi[order], vid[order]
+    # each row pairs with the rows after it in its vertex's run
+    start, size = _runs(vo)
+    later = np.repeat(start + size, size) - np.arange(len(vo)) - 1
+    first = np.repeat(np.arange(len(vo)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    shared = np.bincount(qo[first] * n + qo[second], minlength=n * n)
+    pairs = np.flatnonzero(shared)  # ascending: by (qa, qb), as qids is sorted
+    return QcutInput(qids=qids.tolist(), ls=ls, vcounts=assignment.vertex_counts(),
+                     overlaps=(qids[pairs // n], qids[pairs % n], shared[pairs]))

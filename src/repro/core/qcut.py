@@ -12,12 +12,13 @@ recorded, not used to stop).
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.clustering import karger_cluster
-from repro.core.state import QcutState, balanced
+from repro.core.state import QcutState, improving_moves, move_allowed
 
 # Safety cap on one descent; each step lowers the cost, so a descent ends
 # at a local minimum long before it.
@@ -29,14 +30,16 @@ class QcutInput:
     """Controller-side statistics feeding one Q-cut run.
 
     ``ls``: (n_queries x k) matrix of |LS(q,w)| from the monitoring window.
-    ``vcounts``: |V(w)| per worker. ``overlaps``: global scope intersection
-    per query pair (aggregated I_w stats), used for Karger clustering.
+    ``vcounts``: |V(w)| per worker. ``overlaps``: ``(qa, qb, shared)``
+    arrays, the global scope intersection ``shared`` of each query pair
+    that has one (aggregated I_w stats), used for Karger clustering.
     """
 
     qids: list[int]
     ls: np.ndarray
     vcounts: np.ndarray
-    overlaps: dict[tuple[int, int], float] = field(default_factory=dict)
+    overlaps: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (np.zeros(0, np.int64),) * 3)
 
 
 @dataclass
@@ -59,20 +62,33 @@ def local_search(state: QcutState) -> QcutState:
     """Algorithm 2: steepest descent over single-scope moves until a local
     minimum; every step is a move the δ-balance predicate allows.
 
-    Each step prices every (c, w, w2) move of a spread cluster at once and
-    applies the first minimum in (c, w, w2) order. |LS| entries are integer
-    counts, so the deltas are integers and that first minimum is the move
-    a scalar scan with a strict ``<`` would pick."""
-    if state.ls.size == 0:
-        return state
+    Each step applies the first move of minimum cost change in (c, w, w2)
+    order among the allowed improving ones. Only those can be picked, so a
+    step checks the balance of each cluster's :func:`improving_moves`
+    under the current loads, and a move re-lists only its own cluster's.
+    The descent runs on Python floats (the same IEEE operations as
+    :meth:`QcutState.move`) and is written back to the state once."""
+    ls, L, delta = state.ls.tolist(), state.L.tolist(), state.delta
+    improving = [improving_moves(row) for row in ls]
+    moves: list[tuple[int, int, int]] = []
     for _ in range(_MAX_DESCENT_STEPS):
-        spread = (state.ls > 0).sum(axis=1) >= 2  # a local cluster only adds cost
-        ok = state.moves_allowed() & spread[:, None, None]
-        d = np.where(ok, state.move_deltas(), 0.0)
-        best = int(np.argmin(d))
-        if d.flat[best] >= -1e-12:
+        best_d, best = -1e-12, None
+        for c, cand in enumerate(improving):
+            for d, w, w2 in cand:
+                if d < best_d and move_allowed(L, w, w2, ls[c][w], delta):
+                    best_d, best = d, (c, w, w2)
+        if best is None:
             break
-        state.move(*(int(i) for i in np.unravel_index(best, d.shape)))
+        c, w, w2 = best
+        row = ls[c]
+        x = row[w]
+        row[w] = 0.0
+        row[w2] += x
+        L[w] -= x
+        L[w2] += x
+        improving[c] = improving_moves(row)
+        moves.append(best)
+    state.update(ls, L, moves)
     return state
 
 
@@ -81,7 +97,9 @@ def rebalance(state: QcutState, rng: np.random.Generator, *, max_moves: int = 20
     maximally to the least loaded worker until the all-pairs δ-balance of
     Appendix A.1 is established, no movable scope remains, or ``max_moves``
     moves are made. Returns True if it made ``max_moves`` moves and the
-    state is still unbalanced.
+    state is still unbalanced. Each move draws its scope with one
+    ``rng.integers(n)`` over the worker's n non-empty scopes in cluster
+    order (what ``rng.choice`` over them draws).
 
     Also used on the *initial* solution: the paper restricts the solution
     space to balanced states ("all solution states have balanced
@@ -91,27 +109,30 @@ def rebalance(state: QcutState, rng: np.random.Generator, *, max_moves: int = 20
     (paper §4.2, Fig. 6e discussion).
     """
     # the loop runs on Python floats (the same IEEE operations as
-    # QcutState.move); the moves are then applied to the state in order
-    ls = state.ls.T.tolist()  # ls[w][c]
-    L = state.L.tolist()
+    # QcutState.move) and keeps each worker's non-empty scopes as an
+    # ascending cluster list; the result is written to the state once
+    ls, L, delta = state.ls.tolist(), state.L.tolist(), state.delta
+    scopes = [[c for c, row in enumerate(ls) if row[w] > 0] for w in range(state.k)]
     moves: list[tuple[int, int, int]] = []
-    for _ in range(max_moves):
+    while len(moves) < max_moves:
         lo, hi = min(L), max(L)
-        if balanced(lo, hi, state.delta):
+        if hi <= 0 or (hi - lo) / hi < delta:  # balanced(lo, hi, delta)
             break
         w_max, w_min = L.index(hi), L.index(lo)
-        candidates = [c for c, x in enumerate(ls[w_max]) if x > 0]
+        candidates = scopes[w_max]
         if not candidates or w_max == w_min:
             break
-        c = candidates[rng.integers(len(candidates))]  # == rng.choice(candidates)
-        x = ls[w_max][c]
-        ls[w_max][c] = 0.0
-        ls[w_min][c] += x
+        c = candidates.pop(rng.integers(len(candidates)))
+        row = ls[c]
+        x = row[w_max]
+        row[w_max] = 0.0
+        if row[w_min] <= 0:
+            insort(scopes[w_min], c)
+        row[w_min] += x
         L[w_max] -= x
         L[w_min] += x
         moves.append((c, w_max, w_min))
-    for m in moves:
-        state.move(*m)
+    state.update(ls, L, moves)
     return len(moves) == max_moves and not state.is_balanced()
 
 
@@ -157,7 +178,7 @@ def run_qcut(
     # Fig. 6e/6f). Only the mass cap stops the contraction (target 1): the
     # resulting cluster count is far below the paper's 4k cap for these
     # workloads.
-    masses = {q: float(inp.ls[i].sum()) for i, q in enumerate(inp.qids)}
+    masses = dict(zip(inp.qids, inp.ls.sum(axis=1).tolist()))
     clusters = karger_cluster(
         list(inp.qids),
         inp.overlaps,

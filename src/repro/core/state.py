@@ -23,6 +23,33 @@ def balanced(lo: float, hi: float, delta: float) -> bool:
     return hi <= 0 or (hi - lo) / hi < delta
 
 
+def move_allowed(L: list[float], w: int, w2: int, x: float, delta: float) -> bool:
+    """δ-balance predicate of Alg. 2 line 15 for moving a scope of size
+    ``x`` from worker w to w2 under the loads ``L``: |(L_w − x) − (L_w2 +
+    x)| / max(·) < δ, or max(·) ≤ 0. Empty scopes and w = w2 are never
+    allowed."""
+    if x <= 0 or w == w2:
+        return False
+    lw, lw2 = L[w] - x, L[w2] + x
+    m = max(lw, lw2)
+    return m <= 0 or abs(lw - lw2) / m < delta
+
+
+def improving_moves(row: list[float]) -> list[tuple[float, int, int]]:
+    """The moves of one cluster's scopes that lower the cost, as (cost
+    change d, w, w2) in (w, w2) order; ``row[w]`` = |LS(c, w)|.
+
+    Moving x = row[w] onto w2 makes the row's maximum ``max(row[w2] + x,
+    max_{j≠w} row[j])``, which exceeds the old maximum ``top`` only if
+    ``row[w2] + x > top``. So exactly those moves lower the cost, and by
+    ``top − (row[w2] + x)``; both scopes are then non-empty."""
+    top = max(row, default=0.0)
+    scopes = [w for w, x in enumerate(row) if x > 0]
+    return [(top - (row[w2] + row[w]), w, w2)
+            for w in scopes for w2 in scopes
+            if w2 != w and row[w2] + row[w] > top]
+
+
 class QcutState:
     """Mutable ILS solution state; copy() before speculative edits."""
 
@@ -61,37 +88,7 @@ class QcutState:
             return 0.0
         return float((self.ls.sum(axis=1) - self.ls.max(axis=1)).sum())
 
-    def move_deltas(self) -> np.ndarray:
-        """Cost change ``d[c, w, w2]`` of moving scope (c, w) to w2, for
-        every (c, w, w2) at once.
-
-        After the move, row c's maximum is ``max(row[w2] + x, max_{j≠w}
-        row[j])``; the maximum excluding w is the row's top value, or its
-        second value where w holds the (first) top one."""
-        ls = self.ls
-        top = ls.argmax(axis=1)
-        rows = np.arange(len(ls))
-        top1 = ls[rows, top]
-        rest = ls.copy()
-        rest[rows, top] = -np.inf
-        excl = np.where(np.arange(self.k) == top[:, None],
-                        rest.max(axis=1)[:, None], top1[:, None])
-        new_mx = np.maximum(ls[:, None, :] + ls[:, :, None], excl[:, :, None])
-        return top1[:, None, None] - new_mx
-
-    # ---- balance (Alg. 2 line 15 / Appendix A.1) ---------------------------
-    def moves_allowed(self) -> np.ndarray:
-        """δ-balance predicate ``ok[c, w, w2]`` for moving scope (c, w) to
-        w2: |(L_w − x) − (L_w2 + x)| / max(·) < δ, or max(·) ≤ 0. Empty
-        scopes and w = w2 are never allowed."""
-        x = self.ls[:, :, None]
-        lw = self.L[None, :, None] - x
-        lw2 = self.L[None, None, :] + x
-        m = np.maximum(lw, lw2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = (m <= 0) | (np.abs(lw - lw2) / m < self.delta)
-        return ok & (x > 0) & ~np.eye(self.k, dtype=bool)
-
+    # ---- balance (Appendix A.1) -------------------------------------------
     def is_balanced(self) -> bool:
         """All-pairs balance predicate of Appendix A.1."""
         return balanced(self.L.min(), self.L.max(), self.delta)
@@ -109,6 +106,22 @@ class QcutState:
         for w_init, cur in self.origins[c].items():
             if cur == w:
                 self.origins[c][w_init] = int(w2)
+
+    def update(self, ls: list[list[float]], L: list[float],
+               moves: list[tuple[int, int, int]]) -> None:
+        """Set the state to ``ls`` (one row per cluster) and ``L``, the
+        result of applying the non-empty ``moves`` (c, w, w2) to it in order
+        with the float operations of :meth:`move`; the origins follow the
+        moves."""
+        if not moves:
+            return
+        self.ls[:] = ls
+        self.L[:] = L
+        for c, w, w2 in moves:
+            o = self.origins[c]
+            for w_init, cur in o.items():
+                if cur == w:
+                    o[w_init] = w2
 
     def spread_clusters(self) -> np.ndarray:
         """Clusters whose scopes span >= 2 workers (perturbation candidates)."""

@@ -7,7 +7,13 @@ trace of a workload is the union of its queries' traces run alone, and the
 engine shards the *queries*, not the vertices. One RDD job, with no
 relational operator and so no DataFrame, runs one task per shard,
 ``defaultParallelism`` shards (a task has a fixed cost, so more shards than
-cores only add overhead). The road network's CSR and each shard's starts and
+cores only add overhead). On Python 3.11 that cost is about 0.2 s per task:
+a one-task job with a trivial function takes 0.16–0.24 s on a 4-core VM,
+almost all of it in the worker's ``setup_spark_files``, whose
+``importlib.invalidate_caches()`` re-reads ``pyspark.zip``'s directory once
+for each of the 16 zipimporters in ``sys.path_importer_cache`` (0.22 s
+measured inside a task); CPython 3.12 made that lazy (gh-103200). The road
+network's CSR and each shard's starts and
 targets travel in the task's closure. A task runs its shard's frontier BSP
 to convergence, or to ``max_iters`` supersteps, in numpy
 (:mod:`repro.engine.kernel`), with Pregel's semantics (Malewicz et al.,

@@ -9,7 +9,9 @@ paper-vs-measured values.
 
 Workloads and traces are deterministic and disk-cached (one BSP execution
 per workload, re-priced under every configuration — DESIGN.md §3), and each
-(workload, configuration) is priced once per process (:func:`_phase1`).
+(workload, configuration) is priced once per process (:func:`_phase1`). T9
+reads only the phase-1 workload (:func:`_phase1_workload`) and prices no
+strategy.
 """
 from __future__ import annotations
 
@@ -111,25 +113,35 @@ def _run_all(spark, net, queries, trace, configs: dict) -> dict:
             for name, cfg in configs.items()}
 
 
-# (dataset preset, seed) -> _phase1's result, for the life of the process;
-# the preset function is the key because a RoadNetwork is not hashable
+# (dataset preset, seed) -> _phase1_workload's and _phase1's results, for the
+# life of the process; the preset function is the key because a RoadNetwork
+# is not hashable
+_PHASE1_WORKLOAD: dict = {}
 _PHASE1: dict = {}
 
 
-def _phase1(spark, preset, *, seed):
-    """``(net, queries, trace, results)`` of phase 1 of the Fig-5 workload
-    on ``preset()``, the one run that T3, T4, T7, T8 and T9 read: its
-    queries, the full trace restricted to them (queries are independent, so
-    no second workload is traced) and the four strategies' results (k=8,
-    M2). Memoised; callers must not mutate what it returns."""
-    if (preset, seed) not in _PHASE1:
+def _phase1_workload(spark, preset, *, seed):
+    """``(net, queries, trace)`` of phase 1 of the Fig-5 workload on
+    ``preset()``, the workload T3, T4, T7, T8 and T9 read: its queries and
+    the full trace restricted to them (queries are independent, so no second
+    workload is traced). Memoised apart from its pricing, which T9 does not
+    read; callers must not mutate what it returns."""
+    if (preset, seed) not in _PHASE1_WORKLOAD:
         net = preset()
         queries, trace = _main_bundle(spark, net, seed=seed)
         phase1 = [q for q in queries if q.batch < N_MAIN // BATCH]
-        trace1 = trace.restrict([q.qid for q in phase1])
-        _PHASE1[preset, seed] = (net, phase1, trace1,
-                                 _run_all(spark, net, phase1, trace1, _strategies(8, M2)))
-    return _PHASE1[preset, seed]
+        _PHASE1_WORKLOAD[preset, seed] = (net, phase1, trace.restrict([q.qid for q in phase1]))
+    return _PHASE1_WORKLOAD[preset, seed]
+
+
+def _phase1(spark, preset, *, seed):
+    """``(net, queries, trace, results)``: :func:`_phase1_workload` and
+    the four strategies' results on it (k=8, M2). Memoised; callers must
+    not mutate what it returns."""
+    workload = _phase1_workload(spark, preset, seed=seed)
+    if (preset, seed) not in _PHASE1:
+        _PHASE1[preset, seed] = _run_all(spark, *workload, _strategies(8, M2))
+    return (*workload, _PHASE1[preset, seed])
 
 
 # --------------------------------------------------------------------------
@@ -316,7 +328,7 @@ def table_t09(spark: SparkSession) -> TableResult:
     perturbations visibly escape local minima."""
     from repro.cluster.partitioners import hash_partition
 
-    net, phase1, trace1, _ = _phase1(spark, bw_lite, seed=42)
+    net, phase1, trace1 = _phase1_workload(spark, bw_lite, seed=42)
     queries = [q for q in phase1 if q.batch < 8]  # first 128 queries
     trace = trace1.restrict([q.qid for q in queries])
     assignment = hash_partition(net.n_vertices, 8)

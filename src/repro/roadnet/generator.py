@@ -70,6 +70,14 @@ class RoadNetwork:
             a.setflags(write=False)
         return csr
 
+    @cached_property
+    def out_neighbours(self) -> list[list[int]]:
+        """``csr``'s out-neighbours of each vertex as Python lists, for the
+        driver's scalar loops; shared like ``csr``, so callers must not
+        mutate them."""
+        indptr, dst, _ = self.csr
+        return [dst[a:b].tolist() for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+
     def adjacency(self) -> dict[int, list[tuple[int, float]]]:
         """Out-adjacency ``{src: [(dst, w), ...]}`` for reference Dijkstra."""
         if self._adj is None:

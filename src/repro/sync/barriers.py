@@ -98,22 +98,25 @@ def _price(
     T = int(ac["iter"].max()) + 1
 
     # ---- per-worker per-tick load L and active-vertex counts AV ----------
-    L = np.zeros((k, T))
-    AV = np.zeros((k, T))
+    # each (worker, tick) cell sums, from 0.0 and in this order, the compute
+    # of the activation rows, then the local messages, then the remote ones
+    # at their source and at their destination: one weighted bincount adds
+    # its rows to their cells in row order
     aw, ai, an = ac["worker"], ac["iter"], ac["n_active"]
-    np.add.at(L, (aw, ai), cost.comp_per_vertex * an)
-    np.add.at(AV, (aw, ai), an)
+    AV = np.bincount(aw * T + ai, weights=an, minlength=k * T).reshape(k, T)
 
     part = np.zeros((nq, T, k), dtype=bool)
     part[_rows(qids, ac["qid"]), ai, aw] = True
 
     ws, wd, mi, mn = mc["w_src"], mc["w_dst"], mc["iter"], mc["n_msgs"]
     local = ws == wd
-    np.add.at(L, (ws[local], mi[local]), cost.msg_local * mn[local])
     remote = ~local
     half = cost.remote_cost(k) / 2.0
-    np.add.at(L, (ws[remote], mi[remote]), half * mn[remote])
-    np.add.at(L, (wd[remote], mi[remote]), half * mn[remote])
+    src = ws * T + mi
+    cells = np.concatenate([aw * T + ai, src[local], src[remote], (wd * T + mi)[remote]])
+    load = np.concatenate([cost.comp_per_vertex * an, cost.msg_local * mn[local],
+                           half * mn[remote], half * mn[remote]])
+    L = np.bincount(cells, weights=load, minlength=k * T).reshape(k, T)
     mq = _rows(qids, mc["qid"])
     part[mq, mi, ws] = True
     part[mq, mi, wd] = True

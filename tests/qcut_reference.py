@@ -1,19 +1,33 @@
-"""Scalar reference implementations of the Q-cut plan step, used as test
-oracles for the vectorised code in ``repro.core`` and
-``repro.controller.simulator``.
+"""Reference implementations of the Q-cut plan step, used as test oracles
+for ``repro.core`` and ``repro.controller.simulator``.
 
-Each function is the straightforward loop the vectorised version must
-reproduce exactly: the steepest-descent scan over (c, w, w2) with a strict
-``<``, Karger contraction that rebuilds its edge list after every merge,
-the one-move-at-a-time rebalance drawing with ``rng.choice``, the pandas
-chunk assignment and the full Gauss–Seidel residual sweeps.
+The scalar loops come first; the program must reproduce each exactly: the
+steepest-descent scan over (c, w, w2) with a strict ``<``, Karger
+contraction that rebuilds its edge list after every merge, the
+one-move-at-a-time rebalance drawing with ``rng.choice``, the pandas chunk
+assignment and the full Gauss–Seidel residual sweeps. The previous
+vectorised versions follow; against them the program must also leave the
+random stream where they leave it.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from repro.core.state import QcutState
+from repro.core.state import QcutState, balanced
+
+
+def edges(overlaps: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A {(qa, qb): weight} dict as the (qa, qb, weight) arrays that
+    ``QcutInput.overlaps`` holds."""
+    qa = np.array([a for a, _ in overlaps], dtype=np.int64)
+    qb = np.array([b for _, b in overlaps], dtype=np.int64)
+    return qa, qb, np.array(list(overlaps.values()), dtype=float)
+
+
+def overlap_dict(overlaps) -> dict:
+    """``QcutInput.overlaps`` arrays as a {(qa, qb): weight} dict."""
+    return {(int(a), int(b)): float(w) for a, b, w in zip(*overlaps)}
 
 
 def move_delta(state: QcutState, c: int, w: int, w2: int) -> float:
@@ -136,3 +150,119 @@ def residual_sweeps(workers: np.ndarray, free: np.ndarray, net, k: int, sweeps: 
                 changed = True
         if not changed:
             break
+
+
+# ---- the previous vectorised implementations -------------------------------
+# Each is exact against the scalar loops above and pins the random stream.
+
+def move_deltas(state: QcutState) -> np.ndarray:
+    """Cost change ``d[c, w, w2]`` of moving scope (c, w) to w2, for every
+    (c, w, w2) at once."""
+    ls = state.ls
+    top = ls.argmax(axis=1)
+    rows = np.arange(len(ls))
+    top1 = ls[rows, top]
+    rest = ls.copy()
+    rest[rows, top] = -np.inf
+    excl = np.where(np.arange(state.k) == top[:, None],
+                    rest.max(axis=1)[:, None], top1[:, None])
+    new_mx = np.maximum(ls[:, None, :] + ls[:, :, None], excl[:, :, None])
+    return top1[:, None, None] - new_mx
+
+
+def moves_allowed(state: QcutState) -> np.ndarray:
+    """δ-balance predicate ``ok[c, w, w2]`` for every (c, w, w2) at once."""
+    x = state.ls[:, :, None]
+    lw = state.L[None, :, None] - x
+    lw2 = state.L[None, None, :] + x
+    m = np.maximum(lw, lw2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = (m <= 0) | (np.abs(lw - lw2) / m < state.delta)
+    return ok & (x > 0) & ~np.eye(state.k, dtype=bool)
+
+
+def local_search_dense(state: QcutState) -> QcutState:
+    """Steepest descent that prices every (c, w, w2) move at each step."""
+    if state.ls.size == 0:
+        return state
+    for _ in range(10_000):
+        spread = (state.ls > 0).sum(axis=1) >= 2
+        ok = moves_allowed(state) & spread[:, None, None]
+        d = np.where(ok, move_deltas(state), 0.0)
+        best = int(np.argmin(d))
+        if d.flat[best] >= -1e-12:
+            break
+        state.move(*(int(i) for i in np.unravel_index(best, d.shape)))
+    return state
+
+
+def rebalance_replay(state: QcutState, rng: np.random.Generator, *,
+                     max_moves: int = 200) -> bool:
+    """Rebalance on Python floats that rebuilds the candidate list on every
+    move, then replays the moves on the state one by one."""
+    ls = state.ls.T.tolist()  # ls[w][c]
+    L = state.L.tolist()
+    moves: list[tuple[int, int, int]] = []
+    for _ in range(max_moves):
+        lo, hi = min(L), max(L)
+        if balanced(lo, hi, state.delta):
+            break
+        w_max, w_min = L.index(hi), L.index(lo)
+        candidates = [c for c, x in enumerate(ls[w_max]) if x > 0]
+        if not candidates or w_max == w_min:
+            break
+        c = candidates[rng.integers(len(candidates))]
+        x = ls[w_max][c]
+        ls[w_max][c] = 0.0
+        ls[w_min][c] += x
+        L[w_max] -= x
+        L[w_min] += x
+        moves.append((c, w_max, w_min))
+    for m in moves:
+        state.move(*m)
+    return len(moves) == max_moves and not state.is_balanced()
+
+
+def perturb_replay(state: QcutState, rng: np.random.Generator) -> tuple[QcutState, bool]:
+    """Fuse a random spread cluster on its argmax worker, then
+    :func:`rebalance_replay`."""
+    s = state.copy()
+    spread = s.spread_clusters()
+    if len(spread) == 0:
+        return s, False
+    c = int(rng.choice(spread))
+    target = int(np.argmax(s.ls[c]))
+    for w in np.flatnonzero(s.ls[c] > 0):
+        if int(w) != target:
+            s.move(c, int(w), target)
+    return s, rebalance_replay(s, rng)
+
+
+def karger_cluster_choice(qids, overlaps, *, target, rng, masses=None, max_mass=None):
+    """Contraction over a weight array that keeps every edge (0 once it
+    can no longer fire), drawing with ``rng.choice(p=…)``; ``overlaps`` is a
+    {(qa, qb): weight} dict."""
+    pos = {q: i for i, q in enumerate(qids)}
+    mass = [float((masses or {}).get(q, 0.0)) for q in qids]
+    comp = np.arange(len(qids))
+    pairs = [(pos[a], pos[b], float(w)) for (a, b), w in sorted(overlaps.items())
+             if a in pos and b in pos and a != b and w > 0]
+    ea = np.array([a for a, _, _ in pairs], dtype=np.int64)
+    eb = np.array([b for _, b, _ in pairs], dtype=np.int64)
+    w = np.array([x for _, _, x in pairs], dtype=float)
+    n_comp = len(qids)
+    while n_comp > target and w.any():
+        idx = int(rng.choice(len(w), p=w / w.sum()))
+        ra, rb = comp[ea[idx]], comp[eb[idx]]
+        if max_mass is None or mass[ra] + mass[rb] <= max_mass:
+            comp[comp == rb] = ra
+            mass[ra] += mass[rb]
+            n_comp -= 1
+            w[comp[ea] == comp[eb]] = 0.0
+        else:
+            w[idx] = 0.0
+
+    clusters: dict[int, list[int]] = {}
+    for q, r in zip(qids, comp.tolist()):
+        clusters.setdefault(qids[r], []).append(q)
+    return [sorted(v) for _, v in sorted(clusters.items())]

@@ -2,11 +2,17 @@
 import numpy as np
 import pytest
 
-from repro.core.clustering import karger_cluster
+from repro.core import clustering
+from tests.qcut_reference import edges
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def karger_cluster(qids, overlaps: dict, **kw):
+    """The clustering over a {(qa, qb): weight} dict."""
+    return clustering.karger_cluster(qids, edges(overlaps), **kw)
 
 
 class TestContraction:

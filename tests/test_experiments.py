@@ -106,6 +106,7 @@ class TestPhase1Memo:
         """T3 prices the BW phase-1 workload under the four strategies and
         LDG; T7 and T8 then price nothing, and their tail means are T3's
         tail columns to the last bit."""
+        monkeypatch.setattr(experiments, "_PHASE1_WORKLOAD", {})
         monkeypatch.setattr(experiments, "_PHASE1", {})
         calls = []
 
@@ -125,3 +126,22 @@ class TestPhase1Memo:
             tail = tables[name].extras["summary"].set_index("strategy")["tail_mean"]
             assert len(tail) == 4
             assert (tail == t3.loc[tail.index, column]).all()
+
+    def test_t9_prices_nothing(self, spark, monkeypatch):
+        """T9 run first reads the phase-1 workload without pricing its
+        strategies; T3 after it still prices the four and LDG."""
+        monkeypatch.setattr(experiments, "_PHASE1_WORKLOAD", {})
+        monkeypatch.setattr(experiments, "_PHASE1", {})
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_experiment", counted)
+        made = {}
+        for name in ("T9", "T3"):
+            before = len(calls)
+            ALL_TABLES[name](spark)
+            made[name] = len(calls) - before
+        assert made == {"T9": 0, "T3": 5}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.qcut import QcutInput, local_search, perturb, rebalance, run_qcut
 from repro.core.state import QcutState
+from tests.qcut_reference import edges
 
 
 def _state(ls, vcounts=None, delta=0.25):
@@ -65,18 +66,18 @@ class TestRebalance:
         np.testing.assert_allclose(s.ls, ls_before)
 
     def test_terminates_when_impossible(self):
-        # one atomic scope cannot be balanced: it ping-pongs until the cap
+        # one atomic scope cannot be balanced: it ping-pongs until the cap,
+        # and after an even number of moves it is back where it started
         s = _state([[100, 0]], vcounts=[0, 0], delta=0.1)
-        moves = []
-
-        def move(*m):
-            moves.append(m)
-            QcutState.move(s, *m)
-
-        s.move = move
         assert rebalance(s, np.random.default_rng(0), max_moves=50)
-        assert len(moves) == 50
         assert not s.is_balanced()
+        np.testing.assert_array_equal(s.ls, [[100, 0]])
+        np.testing.assert_array_equal(s.L, [50, 0])
+        assert s.origins == [{0: 0}]
+        s = _state([[100, 0]], vcounts=[0, 0], delta=0.1)
+        assert rebalance(s, np.random.default_rng(0), max_moves=49)
+        np.testing.assert_array_equal(s.ls, [[0, 100]])
+        assert s.origins == [{0: 1}]
 
     def test_cap_counted_in_result(self):
         inp = QcutInput(qids=[1], ls=np.array([[100.0, 0.0]]), vcounts=np.zeros(2))
@@ -116,7 +117,7 @@ class TestRunQcut:
             qids=qids or list(range(1, len(ls) + 1)),
             ls=ls,
             vcounts=np.asarray(vcounts, dtype=float),
-            overlaps=overlaps or {},
+            overlaps=edges(overlaps or {}),
         )
 
     def test_perfect_split_two_workers(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.state import QcutState
+from repro.core.state import QcutState, improving_moves, move_allowed
 
 
 def _state(ls, vcounts=None, delta=0.25):
@@ -58,24 +58,26 @@ class TestMoveDelta:
     )
     @settings(max_examples=80, deadline=None)
     def test_delta_matches_recompute(self, ls):
-        """Every off-diagonal (c, w, w2) entry is that move's cost change
-        (small values: many tied row maxima); an empty scope's move is a
-        no-op and prices 0."""
+        """Every move whose recomputed cost change is negative is listed,
+        in (w, w2) order, with that change (small values: many tied row
+        maxima); no other move is."""
         s = _state(ls)
-        d = s.move_deltas()
-        assert d.shape == (len(s.ls), s.k, s.k)
-        for c, w, w2 in np.ndindex(d.shape):
-            if w == w2:
-                continue
-            t = s.copy()
-            t.move(c, w, w2)
-            assert d[c, w, w2] == t.cost() - s.cost()
+        for c in range(len(s.ls)):
+            want = []
+            for w, w2 in np.ndindex(s.k, s.k):
+                if w == w2:
+                    continue
+                t = s.copy()
+                t.move(c, w, w2)
+                if t.cost() < s.cost():
+                    want.append((t.cost() - s.cost(), w, w2))
+            assert improving_moves(s.ls[c].tolist()) == want
 
     def test_tied_row_maximum(self):
         # cost 11 - 5: fusing the tied maxima costs 1, moving onto the 1 costs 5
-        d = _state([[5, 5, 1]]).move_deltas()
-        assert d[0, 0, 1] == d[0, 1, 0] == -5
-        assert d[0, 0, 2] == d[0, 2, 0] == -1
+        got = {(w, w2): d for d, w, w2 in improving_moves([5.0, 5.0, 1.0])}
+        assert got[0, 1] == got[1, 0] == -5
+        assert got[0, 2] == got[2, 0] == -1
 
 
 class TestMove:
@@ -116,22 +118,19 @@ class TestMove:
 class TestBalance:
     def test_move_allowed_formula(self):
         """|(L_w - x) - (L_w' + x)| / max(...) < delta (Alg. 2 line 15)."""
-        s = _state([[10, 0]], vcounts=[10, 10], delta=0.25)
         # L = [10, 5]; moving 10: L_w = 0, L_w' = 15 -> deviation 1.0
-        assert not s.moves_allowed()[0, 0, 1]
+        assert not move_allowed([10.0, 5.0], 0, 1, 10.0, 0.25)
 
     def test_move_allowed_passes_small_move(self):
         # L = [6, 6]; moving 2 gives (4, 8): deviation exactly 0.5
-        s = _state([[2, 0], [0, 2]], vcounts=[10, 10], delta=0.6)
-        assert s.moves_allowed()[0, 0, 1]
-        assert not _state([[2, 0], [0, 2]], vcounts=[10, 10], delta=0.5).moves_allowed()[0, 0, 1]
+        assert move_allowed([6.0, 6.0], 0, 1, 2.0, 0.6)
+        assert not move_allowed([6.0, 6.0], 0, 1, 2.0, 0.5)
         # symmetric small move keeps deviation below delta
-        assert s.moves_allowed()[1, 1, 0]
+        assert move_allowed([6.0, 6.0], 1, 0, 2.0, 0.6)
 
     def test_move_not_allowed_same_worker_or_empty(self):
-        ok = _state([[5, 0]]).moves_allowed()
-        assert not ok[0, 0, 0]
-        assert not ok[0, 1, 0]
+        assert not move_allowed([5.0, 0.0], 0, 0, 5.0, 0.25)
+        assert not move_allowed([5.0, 0.0], 1, 0, 0.0, 0.25)
 
     @given(
         st.lists(
@@ -143,15 +142,14 @@ class TestBalance:
     )
     @settings(max_examples=80, deadline=None)
     def test_mask_matches_formula(self, ls, vcounts, delta):
-        """Each (c, w, w2) entry of the mask is Alg. 2 line 15 for that move."""
+        """The predicate is Alg. 2 line 15 for each (c, w, w2) move."""
         s = _state(ls, vcounts, delta)
-        ok = s.moves_allowed()
-        for c, w, w2 in np.ndindex(ok.shape):
+        for c, w, w2 in np.ndindex(len(s.ls), s.k, s.k):
             x = s.ls[c, w]
             lw, lw2 = s.L[w] - x, s.L[w2] + x
             m = max(lw, lw2)
             want = w != w2 and x > 0 and (m <= 0 or abs(lw - lw2) / m < delta)
-            assert ok[c, w, w2] == want
+            assert move_allowed(s.L.tolist(), w, w2, float(x), delta) == want
 
     def test_is_balanced_all_pairs(self):
         assert _state([[0, 0]], vcounts=[10, 10]).is_balanced()

@@ -156,8 +156,7 @@ class TestOracle:
     def test_global_pair_overlaps(self, stats, trace, net):
         inp = qcut_input(stats.scope_vertices(), hash_partition(net.n_vertices, 3))
         assert_equivalent(
-            pd.DataFrame([(a, b, s) for (a, b), s in inp.overlaps.items()],
-                         columns=["qa", "qb", "shared"]),
+            pd.DataFrame(dict(zip(["qa", "qb", "shared"], inp.overlaps))),
             """
             WITH scoped AS (SELECT DISTINCT qid, vid FROM activations)
             SELECT x.qid AS qa, y.qid AS qb, count(*) AS shared
