@@ -33,8 +33,9 @@ def domain_partition(net: RoadNetwork, k: int) -> Assignment:
     """Whole hotspot cities per worker, geographically contiguous blocks."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    cities = net.cities.sort_values(["cx", "cy"]).reset_index(drop=True)
-    n_cities = len(cities)
+    cx, cy, cid = (net.cities[c].to_numpy() for c in ("cx", "cy", "city"))
+    by_x = np.lexsort((cy, cx))  # the cities in (cx, cy) order
+    n_cities = len(by_x)
     # contiguous blocks in x-order; block sizes as equal as possible
     city_to_worker = np.empty(n_cities, dtype=np.int32)
     bounds = np.linspace(0, n_cities, k + 1).round().astype(int)
@@ -43,24 +44,22 @@ def domain_partition(net: RoadNetwork, k: int) -> Assignment:
     # cities with fewer blocks than workers: spread round-robin
     if n_cities < k:
         city_to_worker = (np.arange(n_cities) % k).astype(np.int32)
-    worker_by_city = dict(zip(cities["city"].to_numpy(), city_to_worker))
+    worker_of_city = np.full(int(cid.max()) + 1, -1, dtype=np.int32)
+    worker_of_city[cid[by_x]] = city_to_worker
 
     v = net.vertices
     workers = np.empty(len(v), dtype=np.int32)
     city_col = v["city"].to_numpy()
     in_city = city_col != HIGHWAY_CITY
-    workers[in_city] = [worker_by_city[c] for c in city_col[in_city]]
+    workers[in_city] = worker_of_city[city_col[in_city]]
     # highways: nearest city centroid
     if (~in_city).any():
-        hx = v.loc[~in_city, "x"].to_numpy()
-        hy = v.loc[~in_city, "y"].to_numpy()
-        cx = net.cities["cx"].to_numpy()
-        cy = net.cities["cy"].to_numpy()
+        hx = v["x"].to_numpy()[~in_city]
+        hy = v["y"].to_numpy()[~in_city]
         nearest = np.argmin(
             np.hypot(hx[:, None] - cx[None, :], hy[:, None] - cy[None, :]), axis=1
         )
-        cid = net.cities["city"].to_numpy()[nearest]
-        workers[~in_city] = [worker_by_city[c] for c in cid]
+        workers[~in_city] = worker_of_city[cid[nearest]]
     return Assignment(workers=workers, k=k)
 
 
