@@ -66,15 +66,12 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Arrow is on for ``edges_df``'s ``createDataFrame``; no
-    test runs a Spark shuffle or join (the BSP engine is one RDD
-    ``mapPartitions`` job per trace).
+    pre-JVM-launch); the session sets nothing else. Arrow is off: the only
+    DataFrame built from pandas is the stats oracle test's small
+    ``createDataFrame``. No test runs a Spark shuffle or join (the BSP
+    engine is one RDD ``mapPartitions`` job per trace).
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
+    s = SparkSession.builder.appName("repro").getOrCreate()
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -1,10 +1,11 @@
-"""Shared SparkSession builder for spark-submit entrypoints.
+"""SparkSession builder and table runner for ``jobs/all_tables.py``.
 
-Jobs run standalone (``python jobs/t03_fig6a_sssp_bw_total.py`` or via
-``spark-submit``); tests use the ``spark`` fixture from conftest.py instead.
+The job runs standalone (``python jobs/all_tables.py [T1 ... T10]``) or via
+``spark-submit``; tests use the ``spark`` fixture from conftest.py instead.
 """
 import os
 import sys
+import time
 
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
@@ -16,13 +17,11 @@ os.environ.setdefault(
 
 from pyspark.sql import SparkSession  # noqa: E402
 
+from repro.experiments import ALL_TABLES  # noqa: E402
+
 
 def get_spark(app: str) -> SparkSession:
-    s = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
+    s = SparkSession.builder.appName(app).getOrCreate()
     s.sparkContext.setLogLevel("ERROR")
     return s
 
@@ -48,14 +47,25 @@ def write_results(result) -> None:
     print(f"rows written to {rows_path}", file=sys.stderr)
 
 
-def run_table(table: str) -> None:
-    """Run one table experiment, print it, and write it under results/."""
-    from repro.experiments import ALL_TABLES
+def table_names(names: list[str]) -> list[str]:
+    """``names`` if each names a table, or every table for no names. An
+    unknown name raises ``ValueError`` listing the valid ones."""
+    if unknown := [n for n in names if n not in ALL_TABLES]:
+        raise ValueError(f"unknown table {' '.join(unknown)}; valid: {' '.join(ALL_TABLES)}")
+    return list(names) or list(ALL_TABLES)
 
-    spark = get_spark(f"qgraph-{table}")
-    try:
+
+def run_tables(spark, names: list[str]) -> None:
+    """Run the named tables (every table for no names) in order: print
+    each, write it under results/, and report each table's wall time and
+    the total on stderr."""
+    total = 0.0
+    for table in table_names(names):
+        t0 = time.perf_counter()
         result = ALL_TABLES[table](spark)
+        seconds = time.perf_counter() - t0
+        total += seconds
         print(result.show())
         write_results(result)
-    finally:
-        spark.stop()
+        print(f"{table}: {seconds:.2f} s", file=sys.stderr)
+    print(f"total: {total:.2f} s", file=sys.stderr)

@@ -1,15 +1,1 @@
 """Simulated distributed cluster: vertex placement + timing cost model."""
-from repro.cluster.assignment import Assignment
-from repro.cluster.costmodel import CostModel, M1, M2, C1
-from repro.cluster.partitioners import hash_partition, domain_partition, ldg_partition
-
-__all__ = [
-    "Assignment",
-    "CostModel",
-    "M1",
-    "M2",
-    "C1",
-    "hash_partition",
-    "domain_partition",
-    "ldg_partition",
-]

@@ -1,6 +1,1 @@
 """The paper's contribution: Q-cut query-aware partitioning (§3.2 + App. A)."""
-from repro.core.state import QcutState
-from repro.core.clustering import karger_cluster
-from repro.core.qcut import QcutInput, QcutResult, run_qcut
-
-__all__ = ["QcutState", "karger_cluster", "QcutInput", "QcutResult", "run_qcut"]

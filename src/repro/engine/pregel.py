@@ -61,18 +61,18 @@ def _shard_task(net: RoadNetwork, queries: list[Query], n_shards: int, max_iters
 
 def run_queries(
     spark: SparkSession,
-    edges: DataFrame,
+    edges: DataFrame | None,
     queries: list[Query],
     net: RoadNetwork,
     *,
-    max_iters: int = 200,
+    max_iters: int,
 ) -> Trace:
     """Execute a workload of SSSP/POI queries; return its execution trace,
     sorted by (qid, iter, vid), (qid, iter, src, dst) and (qid, vid).
 
-    ``edges`` is unused (the engine reads ``net.edges``); it stays so that
-    callers keep their calls. A query still active after ``max_iters``
-    supersteps is cut off there and listed in ``Trace.truncated``.
+    ``edges`` is unused: the engine reads the graph from ``net``, and callers
+    pass ``None``. A query still active after ``max_iters`` supersteps is
+    cut off there and listed in ``Trace.truncated``.
     """
     if not queries:
         raise ValueError("empty workload")

@@ -3,20 +3,22 @@
 Each ``table_tNN`` function reproduces the numbers behind one evaluation
 figure of the paper (DESIGN.md §4 maps figures to tables) and returns a
 :class:`TableResult` whose ``rows`` are the measured counterparts of the
-numbers the paper reports. ``jobs/`` wraps these for spark-submit and
+numbers the paper reports. ``jobs/all_tables.py`` runs them by name and
 ``benchmarks/`` wraps them for pytest-benchmark; EXPERIMENTS.md records
 paper-vs-measured values.
 
 Workloads and traces are deterministic and disk-cached (one BSP execution
-per workload, re-priced under every configuration — DESIGN.md §3), and each
-(workload, configuration) is priced once per process (:func:`_phase1`). T9
-reads only the phase-1 workload (:func:`_phase1_workload`) and prices no
-strategy.
+per workload, re-priced under every configuration — DESIGN.md §3). Each
+Fig-5 workload and its trace are read once per process
+(:func:`_fig5_workload`), and each (workload, configuration) is priced once
+per process (:func:`_phase1`). T9 reads only the phase-1 workload and
+prices no strategy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -27,7 +29,7 @@ from repro.engine import cached_trace, run_queries
 from repro.engine.trace import Trace, workload_key
 from repro.controller.stats import TraceStats, qcut_input
 from repro.queries.workload import Query, hotspot_queries
-from repro.roadnet.datasets import bw_lite, edges_df, gy_lite
+from repro.roadnet.datasets import bw_lite, gy_lite
 from repro.roadnet.generator import RoadNetwork
 
 N_MAIN = 384          # paper: 2048 queries; scaled (see DESIGN.md §2)
@@ -83,18 +85,12 @@ def trace_for(spark: SparkSession, net: RoadNetwork, queries: list[Query],
     """Disk-cached BSP trace of a workload (one Spark execution per key).
     A trace cut off at ``max_iters`` raises ``RuntimeError`` and is not cached."""
     def build():
-        trace = run_queries(spark, edges_df(spark, net), queries, net, max_iters=max_iters)
+        trace = run_queries(spark, None, queries, net, max_iters=max_iters)
         if len(trace.truncated):
             raise RuntimeError(f"queries {trace.truncated.tolist()} still active at {max_iters=}")
         return trace
 
     return cached_trace(f"{workload_key(net, queries)}|max_iters={max_iters}", build)
-
-
-def _main_bundle(spark, net, *, seed):
-    """Full Fig-5 workload (intra phase + disturbance) and its trace."""
-    queries = sssp_workload(net, seed=seed, disturb=N_DISTURB)
-    return queries, trace_for(spark, net, queries)
 
 
 def _strategies(k: int, cost, *, seed: int = 0) -> dict[str, ExperimentConfig]:
@@ -113,59 +109,64 @@ def _run_all(spark, net, queries, trace, configs: dict) -> dict:
             for name, cfg in configs.items()}
 
 
-# (dataset preset, seed) -> _phase1_workload's and _phase1's results, for the
+# (dataset preset, seed) -> _fig5_workload's and _phase1's results, for the
 # life of the process; the preset function is the key because a RoadNetwork
 # is not hashable
-_PHASE1_WORKLOAD: dict = {}
+_FIG5_WORKLOAD: dict = {}
 _PHASE1: dict = {}
 
 
-def _phase1_workload(spark, preset, *, seed):
-    """``(net, queries, trace)`` of phase 1 of the Fig-5 workload on
-    ``preset()``, the workload T3, T4, T7, T8 and T9 read: its queries and
-    the full trace restricted to them (queries are independent, so no second
-    workload is traced). Memoised apart from its pricing, which T9 does not
-    read; callers must not mutate what it returns."""
-    if (preset, seed) not in _PHASE1_WORKLOAD:
+def _fig5_workload(spark, preset, *, seed):
+    """``(net, queries, trace, phase1)`` of the Fig-5 workload on
+    ``preset()``: the full workload (intra phase + disturbance) and its
+    trace, which T1 and T2 price, and ``phase1 = (queries, trace)``, its
+    first phase and the full trace restricted to it (queries are
+    independent, so no second workload is traced), which T3, T4, T7, T8 and
+    T9 read. Memoised apart from its pricing; callers must not mutate what
+    it returns."""
+    if (preset, seed) not in _FIG5_WORKLOAD:
         net = preset()
-        queries, trace = _main_bundle(spark, net, seed=seed)
+        queries = sssp_workload(net, seed=seed, disturb=N_DISTURB)
+        trace = trace_for(spark, net, queries)
         phase1 = [q for q in queries if q.batch < N_MAIN // BATCH]
-        _PHASE1_WORKLOAD[preset, seed] = (net, phase1, trace.restrict([q.qid for q in phase1]))
-    return _PHASE1_WORKLOAD[preset, seed]
+        _FIG5_WORKLOAD[preset, seed] = (
+            net, queries, trace, (phase1, trace.restrict([q.qid for q in phase1])))
+    return _FIG5_WORKLOAD[preset, seed]
 
 
 def _phase1(spark, preset, *, seed):
-    """``(net, queries, trace, results)``: :func:`_phase1_workload` and
-    the four strategies' results on it (k=8, M2). Memoised; callers must
-    not mutate what it returns."""
-    workload = _phase1_workload(spark, preset, seed=seed)
+    """``(net, queries, trace, results)``: the phase-1 view of
+    :func:`_fig5_workload` and the four strategies' results on it (k=8,
+    M2). Memoised; callers must not mutate what it returns."""
+    net, _, _, (queries, trace) = _fig5_workload(spark, preset, seed=seed)
     if (preset, seed) not in _PHASE1:
-        _PHASE1[preset, seed] = _run_all(spark, *workload, _strategies(8, M2))
-    return (*workload, _PHASE1[preset, seed])
+        _PHASE1[preset, seed] = _run_all(spark, net, queries, trace, _strategies(8, M2))
+    return net, queries, trace, _PHASE1[preset, seed]
 
 
 # --------------------------------------------------------------------------
 # T1 / T2 — Fig. 5a/5b: adaptive Q-cut over time with disturbance
 # --------------------------------------------------------------------------
 
-def _adaptive_over_time(spark, net, *, seed, table, title) -> TableResult:
-    queries, trace = _main_bundle(spark, net, seed=seed)
+def _adaptive_over_time(spark, preset, *, seed, table, title) -> TableResult:
+    net, queries, trace, _ = _fig5_workload(spark, preset, seed=seed)
     res = _run_all(spark, net, queries, trace, _strategies(8, M2, seed=seed))
     hash_lat = res["hash"].per_batch.set_index("batch")["avg_latency"]
-    rows = []
-    for name, r in res.items():
-        pb = r.per_batch.set_index("batch")
-        for b in pb.index:
-            rows.append({
-                "strategy": name,
-                "batch": int(b),
-                "phase": "intra" if b < N_MAIN // BATCH else "disturb",
-                "avg_latency": pb.loc[b, "avg_latency"],
-                "normalized_vs_hash": pb.loc[b, "avg_latency"] / hash_lat.loc[b],
-                "locality": pb.loc[b, "avg_locality"],
-                "repartitioned": bool(pb.loc[b, "repartitioned"]),
-            })
-    df = pd.DataFrame(rows)
+
+    def strategy_rows(name, pb):
+        batch = pb["batch"].to_numpy(np.int64)
+        latency = pb["avg_latency"].to_numpy(np.float64)
+        return pd.DataFrame({
+            "strategy": name,
+            "batch": batch,
+            "phase": np.where(batch < N_MAIN // BATCH, "intra", "disturb"),
+            "avg_latency": latency,
+            "normalized_vs_hash": latency / hash_lat.loc[batch].to_numpy(),
+            "locality": pb["avg_locality"].to_numpy(np.float64),
+            "repartitioned": pb["repartitioned"].to_numpy(bool),
+        })
+
+    df = pd.concat([strategy_rows(name, r.per_batch) for name, r in res.items()], ignore_index=True)
     best = {
         name: 1.0 - df[(df.strategy == name) & (df.batch >= 6)]["normalized_vs_hash"].min()
         for name in res
@@ -182,14 +183,14 @@ def table_t01(spark: SparkSession) -> TableResult:
     Paper: Q-cut reduces avg latency by up to 49% vs static Hash and up to
     40% vs static Domain (phase 1); improvements persist after the
     disturbance."""
-    return _adaptive_over_time(spark, bw_lite(), seed=42, table="T1",
+    return _adaptive_over_time(spark, bw_lite, seed=42, table="T1",
                                title="Fig 5a: adaptive Q-cut over time (BW, SSSP)")
 
 
 def table_t02(spark: SparkSession) -> TableResult:
     """Fig. 5b — GY, SSSP. Paper: up to 45% vs Hash, 30% vs Domain; Hash
     relatively better than on BW (workload balance matters more)."""
-    return _adaptive_over_time(spark, gy_lite(), seed=43, table="T2",
+    return _adaptive_over_time(spark, gy_lite, seed=43, table="T2",
                                title="Fig 5b: adaptive Q-cut over time (GY, SSSP)")
 
 
@@ -263,18 +264,11 @@ def table_t06(spark: SparkSession) -> TableResult:
     trace = trace_for(spark, net, queries)
     configs = {(i, b): ExperimentConfig(k=8, initial=i, barrier=b, cost=M1)
                for i in ("hash", "domain") for b in ("global", "hybrid")}
-    totals = {key: r.total_latency
-              for key, r in _run_all(spark, net, queries, trace, configs).items()}
-    rows = pd.DataFrame(
-        [
-            {"partitioning": i, "barrier": b, "total_latency": v}
-            for (i, b), v in totals.items()
-        ]
-    )
-    rows["speedup_hybrid"] = rows.apply(
-        lambda r: totals[(r.partitioning, "global")] / totals[(r.partitioning, "hybrid")],
-        axis=1,
-    )
+    res = _run_all(spark, net, queries, trace, configs)
+    rows = pd.DataFrame([(i, b, r.total_latency) for (i, b), r in res.items()],
+                        columns=["partitioning", "barrier", "total_latency"])
+    by_barrier = rows.pivot(index="partitioning", columns="barrier", values="total_latency")
+    rows["speedup_hybrid"] = rows["partitioning"].map(by_barrier["global"] / by_barrier["hybrid"])
     return TableResult(
         table="T6", title="Fig 6d: hybrid vs global barrier (BW, 64 SSSP, M1)",
         rows=rows,
@@ -288,13 +282,13 @@ def table_t06(spark: SparkSession) -> TableResult:
 
 def _metric_over_time(spark, column, *, table, title, note) -> TableResult:
     _, _, _, res = _phase1(spark, bw_lite, seed=42)
-    rows = []
-    for name, r in res.items():
-        pb = r.per_batch
-        for _, row in pb.iterrows():
-            rows.append({"strategy": name, "batch": int(row["batch"]),
-                         column: float(row[column])})
-    df = pd.DataFrame(rows)
+    df = pd.concat(
+        [pd.DataFrame({"strategy": name,
+                       "batch": r.per_batch["batch"].to_numpy(np.int64),
+                       column: r.per_batch[column].to_numpy(np.float64)})
+         for name, r in res.items()],
+        ignore_index=True,
+    )
     tail = df[df.batch >= df.batch.max() - 7].groupby("strategy")[column].mean()
     summary = tail.rename("tail_mean").reset_index()
     return TableResult(table=table, title=title, rows=df, notes=note,
@@ -328,7 +322,7 @@ def table_t09(spark: SparkSession) -> TableResult:
     perturbations visibly escape local minima."""
     from repro.cluster.partitioners import hash_partition
 
-    net, phase1, trace1 = _phase1_workload(spark, bw_lite, seed=42)
+    net, _, _, (phase1, trace1) = _fig5_workload(spark, bw_lite, seed=42)
     queries = [q for q in phase1 if q.batch < 8]  # first 128 queries
     trace = trace1.restrict([q.qid for q in queries])
     assignment = hash_partition(net.n_vertices, 8)

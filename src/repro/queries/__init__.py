@@ -1,4 +1,1 @@
 """CGA workload generation (hotspot SSSP / POI queries, Section 4.1)."""
-from repro.queries.workload import Query, hotspot_queries, queries_by_batch
-
-__all__ = ["Query", "hotspot_queries", "queries_by_batch"]

@@ -1,11 +1,1 @@
 """Synthetic OSM-like road networks (substrate for the paper's BW/GY graphs)."""
-from repro.roadnet.generator import RoadNetwork, generate_road_network
-from repro.roadnet.datasets import bw_lite, gy_lite, tiny_grid
-
-__all__ = [
-    "RoadNetwork",
-    "generate_road_network",
-    "bw_lite",
-    "gy_lite",
-    "tiny_grid",
-]

@@ -53,5 +53,6 @@ def tiny_grid(seed: int = 3) -> RoadNetwork:
 
 def edges_df(spark: SparkSession, net: RoadNetwork) -> DataFrame:
     """The (src, dst, w) edges of ``net`` as a Spark DataFrame (not cached).
-    ``run_queries`` still takes it but reads the edges from ``net``."""
+    Kept only for ``qgbench/workloads.py``, which still passes it as
+    ``run_queries``' unused ``edges`` (ROADMAP item 1)."""
     return spark.createDataFrame(net.edges)

@@ -16,8 +16,9 @@ Germany, Section 4.1). A road network here is:
 * a POI *tag* per vertex with probability ``tag_prob`` (the paper's gas
   stations).
 
-Everything is deterministic in ``seed`` and built in numpy/pandas; Spark
-DataFrames are produced by :mod:`repro.roadnet.datasets`.
+Everything is deterministic in ``seed`` and built in numpy/pandas; the
+dataset presets are in :mod:`repro.roadnet.datasets`, and the engine reads
+a network's CSR (:attr:`RoadNetwork.csr`) directly.
 """
 from __future__ import annotations
 

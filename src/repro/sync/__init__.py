@@ -1,4 +1,1 @@
 """Barrier synchronization models (paper Section 3.3)."""
-from repro.sync.barriers import BatchSimResult, simulate_batch
-
-__all__ = ["BatchSimResult", "simulate_batch"]

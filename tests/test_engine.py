@@ -19,7 +19,7 @@ from repro.engine import pregel, run_queries
 from repro.engine.trace import Trace, workload_key
 from repro.experiments import trace_for
 from repro.queries.workload import Query, hotspot_queries
-from repro.roadnet.datasets import bw_lite, edges_df, tiny_grid
+from repro.roadnet.datasets import bw_lite, tiny_grid
 
 from tests.reference import dijkstra, nearest_tagged
 
@@ -41,7 +41,7 @@ def workload(net):
 
 @pytest.fixture(scope="module")
 def trace(spark, net, workload) -> Trace:
-    return run_queries(spark, edges_df(spark, net), workload, net, max_iters=80)
+    return run_queries(spark, None, workload, net, max_iters=80)
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +52,7 @@ def counted_run(spark, net, workload) -> tuple[Trace, int]:
     prev = sc.getLocalProperty("spark.jobGroup.id")
     sc.setJobGroup("test-engine-jobs", "run_queries")
     try:
-        out = run_queries(spark, edges_df(spark, net), workload, net, max_iters=80)
+        out = run_queries(spark, None, workload, net, max_iters=80)
     finally:
         sc._jsc.sc().listenerBus().waitUntilEmpty()
         sc.setLocalProperty("spark.jobGroup.id", prev)
@@ -195,11 +195,11 @@ class TestQueryIndependence:
 
     def test_subset_runs_alone(self, spark, net, workload, trace):
         subset = workload[::3]
-        alone = run_queries(spark, edges_df(spark, net), subset, net, max_iters=80)
+        alone = run_queries(spark, None, subset, net, max_iters=80)
         assert_same_trace(trace.restrict([q.qid for q in subset]), alone)
 
     def test_query_order(self, spark, net, workload, trace):
-        again = run_queries(spark, edges_df(spark, net), workload[::-1], net, max_iters=80)
+        again = run_queries(spark, None, workload[::-1], net, max_iters=80)
         assert_same_trace(again, trace)
 
 
@@ -209,7 +209,7 @@ class TestTruncation:
         full one, and its final state is the state after the last superstep:
         the starts and the receivers of its messages, none closer than at
         convergence."""
-        cut = run_queries(spark, edges_df(spark, net), workload, net, max_iters=3)
+        cut = run_queries(spark, None, workload, net, max_iters=3)
         for name in ("activations", "messages"):
             full = getattr(trace, name)
             assert getattr(cut, name).equals(full[full["iter"] < 3].reset_index(drop=True))
@@ -223,7 +223,7 @@ class TestTruncation:
     def test_truncated_qids(self, spark, net, workload, trace):
         """``truncated`` lists, sorted, the queries the full trace has
         active at iteration 3 or later; it is empty for a complete trace."""
-        cut = run_queries(spark, edges_df(spark, net), workload, net, max_iters=3)
+        cut = run_queries(spark, None, workload, net, max_iters=3)
         late = np.unique(trace.activations.loc[trace.activations["iter"] >= 3, "qid"])
         assert len(late) and cut.truncated.dtype == np.int64
         assert np.array_equal(cut.truncated, late)
@@ -284,7 +284,7 @@ class TestReference:
         qs = hotspot_queries(net, n_queries=8, batch_size=8, seed=1)
         qs += hotspot_queries(net, n_queries=8, batch_size=8, kind="poi", seed=101,
                               qid_offset=100, batch_offset=1)
-        got = run_queries(spark, edges_df(spark, net), qs, net, max_iters=150)
+        got = run_queries(spark, None, qs, net, max_iters=150)
         assert self._bad_qids(reference, got, net, qs, 150) == set()
 
 
@@ -299,17 +299,17 @@ class TestSparkJobs:
 class TestValidation:
     def test_empty_workload_rejected(self, spark, net):
         with pytest.raises(ValueError):
-            run_queries(spark, edges_df(spark, net), [], net)
+            run_queries(spark, None, [], net, max_iters=80)
 
     def test_duplicate_qids_rejected(self, spark, net):
         q = Query(qid=1, kind="poi", start=0, end=None, city=0, batch=0)
         with pytest.raises(ValueError):
-            run_queries(spark, edges_df(spark, net), [q, q], net)
+            run_queries(spark, None, [q, q], net, max_iters=80)
 
     def test_sssp_without_end_rejected(self, spark, net):
         q = Query(qid=1, kind="sssp", start=0, end=None, city=0, batch=0)
         with pytest.raises(ValueError):
-            run_queries(spark, edges_df(spark, net), [q], net)
+            run_queries(spark, None, [q], net, max_iters=80)
 
 
 class TestWorkloadKey:

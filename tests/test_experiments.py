@@ -106,7 +106,7 @@ class TestPhase1Memo:
         """T3 prices the BW phase-1 workload under the four strategies and
         LDG; T7 and T8 then price nothing, and their tail means are T3's
         tail columns to the last bit."""
-        monkeypatch.setattr(experiments, "_PHASE1_WORKLOAD", {})
+        monkeypatch.setattr(experiments, "_FIG5_WORKLOAD", {})
         monkeypatch.setattr(experiments, "_PHASE1", {})
         calls = []
 
@@ -130,7 +130,7 @@ class TestPhase1Memo:
     def test_t9_prices_nothing(self, spark, monkeypatch):
         """T9 run first reads the phase-1 workload without pricing its
         strategies; T3 after it still prices the four and LDG."""
-        monkeypatch.setattr(experiments, "_PHASE1_WORKLOAD", {})
+        monkeypatch.setattr(experiments, "_FIG5_WORKLOAD", {})
         monkeypatch.setattr(experiments, "_PHASE1", {})
         calls = []
 
@@ -145,3 +145,19 @@ class TestPhase1Memo:
             ALL_TABLES[name](spark)
             made[name] = len(calls) - before
         assert made == {"T9": 0, "T3": 5}
+
+    def test_fig5_trace_read_once(self, spark, monkeypatch):
+        """T9 and then T1 read the BW Fig-5 trace once: T1 prices the full
+        workload, T9 its phase-1 view, both from one memo entry."""
+        monkeypatch.setattr(experiments, "_FIG5_WORKLOAD", {})
+        monkeypatch.setattr(experiments, "_PHASE1", {})
+        calls = []
+
+        def counted(spark, net, queries, **kwargs):
+            calls.append((net.name, len(queries)))
+            return trace_for(spark, net, queries, **kwargs)
+
+        monkeypatch.setattr(experiments, "trace_for", counted)
+        for name in ("T9", "T1"):
+            ALL_TABLES[name](spark)
+        assert calls == [("bw_lite", N_MAIN + N_DISTURB)]

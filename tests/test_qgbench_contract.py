@@ -18,15 +18,21 @@ import repro.controller.simulator as simulator
 import repro.core.qcut as qcut
 import repro.engine.pregel as pregel
 import repro.experiments as experiments
+import repro.queries.workload as workload
+import repro.roadnet.datasets as datasets
 
 QGBENCH = Path(__file__).resolve().parents[1] / "qgbench"
 
-# the program functions workloads.py calls, by the attribute it calls
+# the program functions workloads.py calls, by the attribute or bare name it
+# calls
 CALLED = {
     "run_queries": pregel.run_queries,
     "trace_for": experiments.trace_for,
     "run_experiment": simulator.run_experiment,
     "ExperimentConfig": simulator.ExperimentConfig,
+    "edges_df": datasets.edges_df,
+    "hotspot_queries": workload.hotspot_queries,
+    "bw_lite": datasets.bw_lite,
 }
 
 
@@ -47,16 +53,18 @@ def test_span_targets_are_attributes(spans):
 
 @pytest.mark.parametrize("attr", sorted(CALLED))
 def test_workload_calls_bind(attr):
-    """Every ``<module>.attr(...)`` call in workloads.py binds to the
-    program's signature: the same number of positional arguments and the
-    same keyword names."""
+    """Every ``<module>.attr(...)`` and bare ``attr(...)`` call in
+    workloads.py binds to the program's signature: the same number of
+    positional arguments and the same keyword names (a ``**kwargs``
+    expansion is skipped)."""
     tree = ast.parse((QGBENCH / "workloads.py").read_text())
     calls = [c for c in ast.walk(tree) if isinstance(c, ast.Call)
-             and isinstance(c.func, ast.Attribute) and c.func.attr == attr]
+             and attr in (getattr(c.func, "attr", None), getattr(c.func, "id", None))]
     assert calls, f"workloads.py no longer calls {attr}"
     sig = inspect.signature(CALLED[attr])
     for c in calls:
-        sig.bind(*[None] * len(c.args), **dict.fromkeys(k.arg for k in c.keywords))
+        sig.bind(*[None] * len(c.args),
+                 **dict.fromkeys(k.arg for k in c.keywords if k.arg is not None))
 
 
 def test_qcut_calls_wrapped_attributes(monkeypatch):

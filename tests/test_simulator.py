@@ -13,7 +13,7 @@ from repro.controller.simulator import (
 from repro.controller.stats import TraceStats
 from repro.engine import run_queries
 from repro.queries.workload import hotspot_queries
-from repro.roadnet.datasets import edges_df, tiny_grid
+from repro.roadnet.datasets import tiny_grid
 from repro.sync.barriers import simulate_batch
 
 
@@ -32,7 +32,7 @@ def workload(net):
 
 @pytest.fixture(scope="module")
 def trace(spark, net, workload):
-    return run_queries(spark, edges_df(spark, net), workload, net, max_iters=80)
+    return run_queries(spark, None, workload, net, max_iters=80)
 
 
 class TestStatic:

@@ -15,7 +15,7 @@ from repro.controller.stats import TraceStats, qcut_input
 from repro.engine import run_queries
 from repro.engine.trace import Trace
 from repro.queries.workload import hotspot_queries
-from repro.roadnet.datasets import edges_df, tiny_grid
+from repro.roadnet.datasets import tiny_grid
 from tests.oracle import assert_equivalent
 
 
@@ -29,7 +29,7 @@ def trace(spark, net):
     qs = hotspot_queries(net, n_queries=8, batch_size=4, seed=31)
     qs += hotspot_queries(net, n_queries=2, batch_size=2, kind="poi", seed=32,
                           qid_offset=50, batch_offset=5)
-    return run_queries(spark, edges_df(spark, net), qs, net, max_iters=80)
+    return run_queries(spark, None, qs, net, max_iters=80)
 
 
 @pytest.fixture(scope="module")
